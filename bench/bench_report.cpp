@@ -9,8 +9,8 @@
 // produce JSON files whose "cycles" objects are byte-identical.  wall_ns is
 // the only intentionally non-deterministic field, with one documented
 // exception: the server section's batch/host_speedup_* metrics are measured
-// wall-time ratios (the batched data plane's host-side payoff) and carry a
-// wide tolerance in the gate table accordingly.
+// host CPU-time ratios (the batched data plane's host-side payoff) and carry
+// a wide tolerance in the gate table accordingly.
 //
 // Regression-gate mode (docs/benchmarks.md): `--check` re-measures every
 // section and diffs it against the committed baseline BENCH_*.json under the
@@ -428,30 +428,14 @@ bench::BenchResult run_server() {
     // traffic at batch_lanes 1/4/8.  Deterministic metrics must be
     // bit-identical across lane widths — lanes_mismatch counts divergences
     // and is gated exactly-zero — while host_speedup_* are measured
-    // wall-time ratios (best of 2 per lane width) gated with a wide
-    // tolerance: the multi-buffer kernels must keep paying for themselves.
-    const auto scenario = bench::batch_scenario(76, 96);
-    const unsigned lane_pts[3] = {1, 4, 8};
-    server::RunReport reps[3];
-    for (int i = 0; i < 3; ++i) {
-      server::Engine engine(bench::batch_config(cfg.threads, lane_pts[i]));
-      reps[i] = engine.run(scenario);
-      server::Engine again(bench::batch_config(cfg.threads, lane_pts[i]));
-      const auto rerun = again.run(scenario);
-      if (rerun.wall_ns < reps[i].wall_ns) reps[i] = rerun;
-    }
-    double mismatches = 0.0;
-    for (int i = 1; i < 3; ++i) {
-      if (!bench::reports_deterministically_equal(reps[0], reps[i])) {
-        mismatches += 1.0;
-      }
-    }
-    bench::append_server_metrics(r, "batch/", reps[2]);
-    r.cycles["batch/lanes_mismatch"] = mismatches;
-    r.cycles["batch/host_speedup_4v1"] = static_cast<double>(reps[0].wall_ns) /
-                                         static_cast<double>(reps[1].wall_ns);
-    r.cycles["batch/host_speedup_8v1"] = static_cast<double>(reps[0].wall_ns) /
-                                         static_cast<double>(reps[2].wall_ns);
+    // CPU-time ratios (median of 7 alternating runs per lane width) gated with
+    // a wide tolerance.
+    const auto batch =
+        bench::run_batch_lanes(bench::batch_scenario(76, 96), cfg.threads, 7);
+    bench::append_server_metrics(r, "batch/", batch.reports[2]);
+    r.cycles["batch/lanes_mismatch"] = batch.mismatches;
+    r.cycles["batch/host_speedup_4v1"] = batch.speedup(1);
+    r.cycles["batch/host_speedup_8v1"] = batch.speedup(2);
   }
   r.wall_ns = ns_since(t0);
   r.threads = cfg.threads;

@@ -381,45 +381,31 @@ int main(int argc, char** argv) {
   if (which == "all" || which == "batch") {
     // Batched data plane: the same CBC-heavy traffic at lanes 1, 4 and 8.
     // The deterministic report is a hard gate — any divergence is a bug in
-    // the batching layer, not a tolerance matter — and the wall-time ratio
+    // the batching layer, not a tolerance matter — and the CPU-time ratio
     // is the host-side payoff the baseline tracks (batch/host_speedup_*).
-    const auto scenario = bench::batch_scenario(seed + 5, sessions);
-    const unsigned lane_pts[3] = {1, 4, 8};
-    server::RunReport reps[3];
+    const auto batch = bench::run_batch_lanes(
+        bench::batch_scenario(seed + 5, sessions), threads, 7);
     for (int i = 0; i < 3; ++i) {
-      server::Engine engine(bench::batch_config(threads, lane_pts[i]));
-      reps[i] = engine.run(scenario);
-      // Best-of-2 wall: the first run also warms key caches and pages.
-      server::Engine again(bench::batch_config(threads, lane_pts[i]));
-      const auto rerun = again.run(scenario);
-      if (rerun.wall_ns < reps[i].wall_ns) reps[i] = rerun;
-      print_report(
-          ("batch (CBC mix, lanes " + std::to_string(lane_pts[i]) + ")")
-              .c_str(),
-          reps[i]);
+      print_report(("batch (CBC mix, lanes " +
+                    std::to_string(bench::BatchLanesRun::kLanes[i]) + ")")
+                       .c_str(),
+                   batch.reports[i]);
     }
-    for (int i = 1; i < 3; ++i) {
-      if (!bench::reports_deterministically_equal(reps[0], reps[i])) {
-        std::fprintf(stderr,
-                     "batch scenario: deterministic report diverged between "
-                     "lanes 1 and lanes %u\n",
-                     lane_pts[i]);
-        return 1;
-      }
+    if (batch.mismatches != 0) {
+      std::fprintf(stderr, "batch scenario: deterministic report diverged "
+                           "across lane widths or repetitions\n");
+      return 1;
     }
-    bench::append_server_metrics(result, "batch/", reps[2]);
+    bench::append_server_metrics(result, "batch/", batch.reports[2]);
     result.cycles["batch/lanes_mismatch"] = 0.0;
-    const double s4 = static_cast<double>(reps[0].wall_ns) /
-                      static_cast<double>(reps[1].wall_ns);
-    const double s8 = static_cast<double>(reps[0].wall_ns) /
-                      static_cast<double>(reps[2].wall_ns);
-    result.cycles["batch/host_speedup_4v1"] = s4;
-    result.cycles["batch/host_speedup_8v1"] = s8;
-    std::printf("\n  batch host speedup: lanes 4 %.2fx, lanes 8 %.2fx "
-                "(%llu batched records, %llu flushes at lanes 8)\n",
-                s4, s8,
-                static_cast<unsigned long long>(reps[2].batched_records),
-                static_cast<unsigned long long>(reps[2].batch_flushes));
+    result.cycles["batch/host_speedup_4v1"] = batch.speedup(1);
+    result.cycles["batch/host_speedup_8v1"] = batch.speedup(2);
+    std::printf("\n  batch host speedup (median of 7 CPU times): lanes 4 "
+                "%.2fx, lanes 8 %.2fx (%llu batched records, %llu flushes "
+                "at lanes 8)\n",
+                batch.speedup(1), batch.speedup(2),
+                static_cast<unsigned long long>(batch.reports[2].batched_records),
+                static_cast<unsigned long long>(batch.reports[2].batch_flushes));
   }
 
   if (which == "all" || which == "scale") {

@@ -10,74 +10,6 @@ std::uint8_t xtime(std::uint8_t a) {
   return static_cast<std::uint8_t>((a << 1) ^ ((a & 0x80) ? 0x1b : 0x00));
 }
 
-// S-box built from the multiplicative inverse in GF(2^8) followed by the
-// affine transform, per FIPS-197 — synthesized, not transcribed.
-struct Tables {
-  std::array<std::uint8_t, 256> sbox{};
-  std::array<std::uint8_t, 256> inv_sbox{};
-  std::array<std::array<std::uint32_t, 256>, 4> te{};
-
-  Tables() {
-    // Build log/antilog tables over generator 3.
-    std::array<std::uint8_t, 256> alog{};
-    std::array<std::uint8_t, 256> log{};
-    std::uint8_t p = 1;
-    for (int i = 0; i < 255; ++i) {
-      alog[static_cast<std::size_t>(i)] = p;
-      log[p] = static_cast<std::uint8_t>(i);
-      p = static_cast<std::uint8_t>(p ^ xtime(p));  // multiply by 3
-    }
-    auto inverse = [&](std::uint8_t a) -> std::uint8_t {
-      if (a == 0) return 0;
-      return alog[static_cast<std::size_t>((255 - log[a]) % 255)];
-    };
-    for (int v = 0; v < 256; ++v) {
-      const std::uint8_t inv = inverse(static_cast<std::uint8_t>(v));
-      std::uint8_t s = 0;
-      for (int bit = 0; bit < 8; ++bit) {
-        const int b = ((inv >> bit) & 1) ^ ((inv >> ((bit + 4) % 8)) & 1) ^
-                      ((inv >> ((bit + 5) % 8)) & 1) ^
-                      ((inv >> ((bit + 6) % 8)) & 1) ^
-                      ((inv >> ((bit + 7) % 8)) & 1) ^ ((0x63 >> bit) & 1);
-        s |= static_cast<std::uint8_t>(b << bit);
-      }
-      sbox[static_cast<std::size_t>(v)] = s;
-      inv_sbox[s] = static_cast<std::uint8_t>(v);
-    }
-    // Encryption T-tables: column contribution (2s, s, s, 3s) rotated per lane.
-    for (int v = 0; v < 256; ++v) {
-      const std::uint8_t s = sbox[static_cast<std::size_t>(v)];
-      const std::uint8_t s2 = xtime(s);
-      const std::uint8_t s3 = static_cast<std::uint8_t>(s2 ^ s);
-      const std::uint32_t t0 = (static_cast<std::uint32_t>(s2) << 24) |
-                               (static_cast<std::uint32_t>(s) << 16) |
-                               (static_cast<std::uint32_t>(s) << 8) | s3;
-      te[0][static_cast<std::size_t>(v)] = t0;
-      te[1][static_cast<std::size_t>(v)] = (t0 >> 8) | (t0 << 24);
-      te[2][static_cast<std::size_t>(v)] = (t0 >> 16) | (t0 << 16);
-      te[3][static_cast<std::size_t>(v)] = (t0 >> 24) | (t0 << 8);
-    }
-  }
-};
-
-const Tables& tables() {
-  static const Tables t;
-  return t;
-}
-
-std::uint32_t load_be32(const std::uint8_t* p) {
-  return (static_cast<std::uint32_t>(p[0]) << 24) |
-         (static_cast<std::uint32_t>(p[1]) << 16) |
-         (static_cast<std::uint32_t>(p[2]) << 8) | p[3];
-}
-
-void store_be32(std::uint32_t v, std::uint8_t* p) {
-  p[0] = static_cast<std::uint8_t>(v >> 24);
-  p[1] = static_cast<std::uint8_t>(v >> 16);
-  p[2] = static_cast<std::uint8_t>(v >> 8);
-  p[3] = static_cast<std::uint8_t>(v);
-}
-
 std::uint32_t sub_word(std::uint32_t w) {
   const auto& s = tables().sbox;
   return (static_cast<std::uint32_t>(s[(w >> 24) & 0xff]) << 24) |
@@ -146,6 +78,59 @@ void inv_mix_columns(std::uint8_t state[16]) {
 }
 
 }  // namespace
+
+// S-box built from the multiplicative inverse in GF(2^8) followed by the
+// affine transform, per FIPS-197; the word tables from gf_mul.
+Tables build_tables() {
+  Tables t{};
+  // Log/antilog tables over generator 3.
+  std::array<std::uint8_t, 256> alog{};
+  std::array<std::uint8_t, 256> log{};
+  std::uint8_t p = 1;
+  for (int i = 0; i < 255; ++i) {
+    alog[static_cast<std::size_t>(i)] = p;
+    log[p] = static_cast<std::uint8_t>(i);
+    p = static_cast<std::uint8_t>(p ^ xtime(p));  // multiply by 3
+  }
+  auto inverse = [&](std::uint8_t a) -> std::uint8_t {
+    if (a == 0) return 0;
+    return alog[static_cast<std::size_t>((255 - log[a]) % 255)];
+  };
+  for (int v = 0; v < 256; ++v) {
+    const std::uint8_t inv = inverse(static_cast<std::uint8_t>(v));
+    std::uint8_t s = 0;
+    for (int bit = 0; bit < 8; ++bit) {
+      const int b = ((inv >> bit) & 1) ^ ((inv >> ((bit + 4) % 8)) & 1) ^
+                    ((inv >> ((bit + 5) % 8)) & 1) ^
+                    ((inv >> ((bit + 6) % 8)) & 1) ^
+                    ((inv >> ((bit + 7) % 8)) & 1) ^ ((0x63 >> bit) & 1);
+      s |= static_cast<std::uint8_t>(b << bit);
+    }
+    t.sbox[static_cast<std::size_t>(v)] = s;
+    t.inv_sbox[s] = static_cast<std::uint8_t>(v);
+  }
+  // Row 0 holds one byte's column contribution; rows 1..3 rotate it.
+  auto rotations = [](WordTables& tab, std::size_t v, std::uint32_t w) {
+    tab[0][v] = w;
+    tab[1][v] = (w >> 8) | (w << 24);
+    tab[2][v] = (w >> 16) | (w << 16);
+    tab[3][v] = (w >> 24) | (w << 8);
+  };
+  for (std::size_t v = 0; v < 256; ++v) {
+    // Encryption: (2s, s, s, 3s) of the substituted byte.
+    const std::uint8_t s = t.sbox[v];
+    rotations(t.te, v,
+              (std::uint32_t(gf_mul(s, 2)) << 24) | (std::uint32_t(s) << 16) |
+                  (std::uint32_t(s) << 8) | gf_mul(s, 3));
+    // InvMixColumns: (14b, 9b, 13b, 11b).
+    const auto b = static_cast<std::uint8_t>(v);
+    rotations(t.u, v,
+              (std::uint32_t(gf_mul(b, 14)) << 24) |
+                  (std::uint32_t(gf_mul(b, 9)) << 16) |
+                  (std::uint32_t(gf_mul(b, 13)) << 8) | gf_mul(b, 11));
+  }
+  return t;
+}
 
 std::uint8_t gf_mul(std::uint8_t a, std::uint8_t b) {
   std::uint8_t r = 0;
@@ -230,55 +215,31 @@ void decrypt_block_ref(const std::uint8_t in[16], std::uint8_t out[16],
 
 void encrypt_block(const std::uint8_t in[16], std::uint8_t out[16],
                    const KeySchedule& ks) {
-  const auto& t = tables();
+  const Tables& t = tables();
   const std::uint32_t* rk = ks.round_keys.data();
   std::uint32_t s0 = load_be32(in + 0) ^ rk[0];
   std::uint32_t s1 = load_be32(in + 4) ^ rk[1];
   std::uint32_t s2 = load_be32(in + 8) ^ rk[2];
   std::uint32_t s3 = load_be32(in + 12) ^ rk[3];
   for (int round = 1; round < ks.rounds; ++round) {
-    const std::uint32_t* k = rk + 4 * round;
-    const std::uint32_t n0 = t.te[0][s0 >> 24] ^ t.te[1][(s1 >> 16) & 0xff] ^
-                             t.te[2][(s2 >> 8) & 0xff] ^ t.te[3][s3 & 0xff] ^ k[0];
-    const std::uint32_t n1 = t.te[0][s1 >> 24] ^ t.te[1][(s2 >> 16) & 0xff] ^
-                             t.te[2][(s3 >> 8) & 0xff] ^ t.te[3][s0 & 0xff] ^ k[1];
-    const std::uint32_t n2 = t.te[0][s2 >> 24] ^ t.te[1][(s3 >> 16) & 0xff] ^
-                             t.te[2][(s0 >> 8) & 0xff] ^ t.te[3][s1 & 0xff] ^ k[2];
-    const std::uint32_t n3 = t.te[0][s3 >> 24] ^ t.te[1][(s0 >> 16) & 0xff] ^
-                             t.te[2][(s1 >> 8) & 0xff] ^ t.te[3][s2 & 0xff] ^ k[3];
-    s0 = n0; s1 = n1; s2 = n2; s3 = n3;
+    encrypt_round(s0, s1, s2, s3, rk + 4 * round, t);
   }
-  // Final round: SubBytes + ShiftRows + AddRoundKey (no MixColumns).
-  const std::uint32_t* k = rk + 4 * ks.rounds;
-  const auto& sb = t.sbox;
-  const std::uint32_t o0 = (static_cast<std::uint32_t>(sb[s0 >> 24]) << 24) |
-                           (static_cast<std::uint32_t>(sb[(s1 >> 16) & 0xff]) << 16) |
-                           (static_cast<std::uint32_t>(sb[(s2 >> 8) & 0xff]) << 8) |
-                           sb[s3 & 0xff];
-  const std::uint32_t o1 = (static_cast<std::uint32_t>(sb[s1 >> 24]) << 24) |
-                           (static_cast<std::uint32_t>(sb[(s2 >> 16) & 0xff]) << 16) |
-                           (static_cast<std::uint32_t>(sb[(s3 >> 8) & 0xff]) << 8) |
-                           sb[s0 & 0xff];
-  const std::uint32_t o2 = (static_cast<std::uint32_t>(sb[s2 >> 24]) << 24) |
-                           (static_cast<std::uint32_t>(sb[(s3 >> 16) & 0xff]) << 16) |
-                           (static_cast<std::uint32_t>(sb[(s0 >> 8) & 0xff]) << 8) |
-                           sb[s1 & 0xff];
-  const std::uint32_t o3 = (static_cast<std::uint32_t>(sb[s3 >> 24]) << 24) |
-                           (static_cast<std::uint32_t>(sb[(s0 >> 16) & 0xff]) << 16) |
-                           (static_cast<std::uint32_t>(sb[(s1 >> 8) & 0xff]) << 8) |
-                           sb[s2 & 0xff];
-  store_be32(o0 ^ k[0], out + 0);
-  store_be32(o1 ^ k[1], out + 4);
-  store_be32(o2 ^ k[2], out + 8);
-  store_be32(o3 ^ k[3], out + 12);
+  encrypt_final_round(s0, s1, s2, s3, rk + 4 * ks.rounds, t, out);
 }
 
 void decrypt_block(const std::uint8_t in[16], std::uint8_t out[16],
                    const KeySchedule& ks) {
-  // The T-table inverse cipher offers no extra coverage over the reference
-  // inverse here; delegate to it (the kernels implement encryption, and CBC
-  // decryption in SSL uses the encrypt direction only for HMAC).
-  decrypt_block_ref(in, out, ks);
+  const Tables& t = tables();
+  const std::uint32_t* rk = ks.round_keys.data();
+  const std::uint32_t* k = rk + 4 * ks.rounds;
+  std::uint32_t s0 = load_be32(in + 0) ^ k[0];
+  std::uint32_t s1 = load_be32(in + 4) ^ k[1];
+  std::uint32_t s2 = load_be32(in + 8) ^ k[2];
+  std::uint32_t s3 = load_be32(in + 12) ^ k[3];
+  for (int round = ks.rounds - 1; round >= 1; --round) {
+    decrypt_round(s0, s1, s2, s3, rk + 4 * round, t);
+  }
+  decrypt_final_round(s0, s1, s2, s3, rk, t, out);
 }
 
 namespace {
@@ -345,8 +306,5 @@ std::vector<std::uint8_t> decrypt_cbc(const std::vector<std::uint8_t>& data,
 
 const std::array<std::uint8_t, 256>& sbox() { return tables().sbox; }
 const std::array<std::uint8_t, 256>& inv_sbox() { return tables().inv_sbox; }
-const std::array<std::uint32_t, 256>& te(int i) {
-  return tables().te[static_cast<std::size_t>(i)];
-}
 
 }  // namespace wsp::aes

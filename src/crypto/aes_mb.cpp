@@ -1,58 +1,18 @@
-// Lane-interleaved AES-CBC.  The encrypt side mirrors the scalar T-table
-// round structure of aes.cpp exactly (same tables, same word layout) with
-// the round loop outermost and a lane loop innermost.  The decrypt side is
-// the straight inverse cipher driven by tables: InvShiftRows+InvSubBytes
-// folded into a byte gather, AddRoundKey with the *untransformed* schedule,
-// then InvMixColumns as a per-column table pass (U tables built from
-// aes::gf_mul at startup, like every other table in this repo — synthesized,
-// not transcribed).
+// Lane-interleaved AES-CBC: the table-driven rounds of aes.h with the
+// round loop outermost and a lane loop innermost.  Rounds and tables are
+// aes.h's, so width 1 runs the same code as aes::encrypt_block and
+// aes::decrypt_block; this file only adds the interleave and CBC chaining.
 #include "aes_mb.h"
 
 #include <algorithm>
-#include <array>
 #include <stdexcept>
 #include <vector>
 
 namespace wsp::aes_mb {
 namespace {
 
-std::uint32_t load_be32(const std::uint8_t* p) {
-  return (std::uint32_t(p[0]) << 24) | (std::uint32_t(p[1]) << 16) |
-         (std::uint32_t(p[2]) << 8) | std::uint32_t(p[3]);
-}
-
-void store_be32(std::uint32_t v, std::uint8_t* p) {
-  p[0] = std::uint8_t(v >> 24);
-  p[1] = std::uint8_t(v >> 16);
-  p[2] = std::uint8_t(v >> 8);
-  p[3] = std::uint8_t(v);
-}
-
-// InvMixColumns contribution tables: U0[v] holds the column produced by
-// byte v in row 0; U1..U3 are byte rotations of U0 (same construction as
-// the Te tables in aes.cpp).
-struct UTabs {
-  std::array<std::uint32_t, 256> u0, u1, u2, u3;
-};
-
-const UTabs& utabs() {
-  static const UTabs tabs = [] {
-    UTabs t{};
-    for (int v = 0; v < 256; ++v) {
-      const auto b = std::uint8_t(v);
-      const std::uint32_t w = (std::uint32_t(aes::gf_mul(b, 14)) << 24) |
-                              (std::uint32_t(aes::gf_mul(b, 9)) << 16) |
-                              (std::uint32_t(aes::gf_mul(b, 13)) << 8) |
-                              std::uint32_t(aes::gf_mul(b, 11));
-      t.u0[v] = w;
-      t.u1[v] = (w >> 8) | (w << 24);
-      t.u2[v] = (w >> 16) | (w << 16);
-      t.u3[v] = (w >> 24) | (w << 8);
-    }
-    return t;
-  }();
-  return tabs;
-}
+using aes::load_be32;
+using aes::store_be32;
 
 // Live-lane working set for one lockstep group (uniform round count).
 template <int Lanes>
@@ -105,11 +65,7 @@ struct Group {
 
 template <int Lanes>
 void encrypt_group(Group<Lanes>& g, int rounds) {
-  const auto& te0 = aes::te(0);
-  const auto& te1 = aes::te(1);
-  const auto& te2 = aes::te(2);
-  const auto& te3 = aes::te(3);
-  const auto& sb = aes::sbox();
+  const aes::Tables& t = aes::tables();
   std::uint32_t s0[Lanes], s1[Lanes], s2[Lanes], s3[Lanes];
   while (g.active > 0) {
     const int a = g.active;
@@ -123,60 +79,17 @@ void encrypt_group(Group<Lanes>& g, int rounds) {
     }
     for (int r = 1; r < rounds; ++r) {
       for (int j = 0; j < a; ++j) {
-        const std::uint32_t* k = g.rk[j] + 4 * r;
-        const std::uint32_t n0 = te0[s0[j] >> 24] ^ te1[(s1[j] >> 16) & 0xff] ^
-                                 te2[(s2[j] >> 8) & 0xff] ^ te3[s3[j] & 0xff] ^
-                                 k[0];
-        const std::uint32_t n1 = te0[s1[j] >> 24] ^ te1[(s2[j] >> 16) & 0xff] ^
-                                 te2[(s3[j] >> 8) & 0xff] ^ te3[s0[j] & 0xff] ^
-                                 k[1];
-        const std::uint32_t n2 = te0[s2[j] >> 24] ^ te1[(s3[j] >> 16) & 0xff] ^
-                                 te2[(s0[j] >> 8) & 0xff] ^ te3[s1[j] & 0xff] ^
-                                 k[2];
-        const std::uint32_t n3 = te0[s3[j] >> 24] ^ te1[(s0[j] >> 16) & 0xff] ^
-                                 te2[(s1[j] >> 8) & 0xff] ^ te3[s2[j] & 0xff] ^
-                                 k[3];
-        s0[j] = n0;
-        s1[j] = n1;
-        s2[j] = n2;
-        s3[j] = n3;
+        aes::encrypt_round(s0[j], s1[j], s2[j], s3[j], g.rk[j] + 4 * r, t);
       }
     }
-    // Final round (SubBytes + ShiftRows, no MixColumns), store, chain.
+    // Final round, store, chain.
     for (int j = 0; j < a; ++j) {
-      const std::uint32_t* k = g.rk[j] + 4 * rounds;
-      const std::uint32_t o0 =
-          ((std::uint32_t(sb[s0[j] >> 24]) << 24) |
-           (std::uint32_t(sb[(s1[j] >> 16) & 0xff]) << 16) |
-           (std::uint32_t(sb[(s2[j] >> 8) & 0xff]) << 8) |
-           std::uint32_t(sb[s3[j] & 0xff])) ^
-          k[0];
-      const std::uint32_t o1 =
-          ((std::uint32_t(sb[s1[j] >> 24]) << 24) |
-           (std::uint32_t(sb[(s2[j] >> 16) & 0xff]) << 16) |
-           (std::uint32_t(sb[(s3[j] >> 8) & 0xff]) << 8) |
-           std::uint32_t(sb[s0[j] & 0xff])) ^
-          k[1];
-      const std::uint32_t o2 =
-          ((std::uint32_t(sb[s2[j] >> 24]) << 24) |
-           (std::uint32_t(sb[(s3[j] >> 16) & 0xff]) << 16) |
-           (std::uint32_t(sb[(s0[j] >> 8) & 0xff]) << 8) |
-           std::uint32_t(sb[s1[j] & 0xff])) ^
-          k[2];
-      const std::uint32_t o3 =
-          ((std::uint32_t(sb[s3[j] >> 24]) << 24) |
-           (std::uint32_t(sb[(s0[j] >> 16) & 0xff]) << 16) |
-           (std::uint32_t(sb[(s1[j] >> 8) & 0xff]) << 8) |
-           std::uint32_t(sb[s2[j] & 0xff])) ^
-          k[3];
-      store_be32(o0, g.out[j]);
-      store_be32(o1, g.out[j] + 4);
-      store_be32(o2, g.out[j] + 8);
-      store_be32(o3, g.out[j] + 12);
-      g.c0[j] = o0;
-      g.c1[j] = o1;
-      g.c2[j] = o2;
-      g.c3[j] = o3;
+      aes::encrypt_final_round(s0[j], s1[j], s2[j], s3[j], g.rk[j] + 4 * rounds,
+                               t, g.out[j]);
+      g.c0[j] = load_be32(g.out[j]);  // residue = ciphertext just produced
+      g.c1[j] = load_be32(g.out[j] + 4);
+      g.c2[j] = load_be32(g.out[j] + 8);
+      g.c3[j] = load_be32(g.out[j] + 12);
       g.in[j] += 16;
       g.out[j] += 16;
       --g.rem[j];
@@ -187,8 +100,7 @@ void encrypt_group(Group<Lanes>& g, int rounds) {
 
 template <int Lanes>
 void decrypt_group(Group<Lanes>& g, int rounds) {
-  const auto& is = aes::inv_sbox();
-  const UTabs& u = utabs();
+  const aes::Tables& t = aes::tables();
   std::uint32_t s0[Lanes], s1[Lanes], s2[Lanes], s3[Lanes];
   std::uint32_t x0[Lanes], x1[Lanes], x2[Lanes], x3[Lanes];
   while (g.active > 0) {
@@ -206,78 +118,16 @@ void decrypt_group(Group<Lanes>& g, int rounds) {
     }
     for (int r = rounds - 1; r >= 1; --r) {
       for (int j = 0; j < a; ++j) {
-        const std::uint32_t* k = g.rk[j] + 4 * r;
-        // InvShiftRows + InvSubBytes gather, then AddRoundKey.
-        const std::uint32_t t0 =
-            ((std::uint32_t(is[s0[j] >> 24]) << 24) |
-             (std::uint32_t(is[(s3[j] >> 16) & 0xff]) << 16) |
-             (std::uint32_t(is[(s2[j] >> 8) & 0xff]) << 8) |
-             std::uint32_t(is[s1[j] & 0xff])) ^
-            k[0];
-        const std::uint32_t t1 =
-            ((std::uint32_t(is[s1[j] >> 24]) << 24) |
-             (std::uint32_t(is[(s0[j] >> 16) & 0xff]) << 16) |
-             (std::uint32_t(is[(s3[j] >> 8) & 0xff]) << 8) |
-             std::uint32_t(is[s2[j] & 0xff])) ^
-            k[1];
-        const std::uint32_t t2 =
-            ((std::uint32_t(is[s2[j] >> 24]) << 24) |
-             (std::uint32_t(is[(s1[j] >> 16) & 0xff]) << 16) |
-             (std::uint32_t(is[(s0[j] >> 8) & 0xff]) << 8) |
-             std::uint32_t(is[s3[j] & 0xff])) ^
-            k[2];
-        const std::uint32_t t3 =
-            ((std::uint32_t(is[s3[j] >> 24]) << 24) |
-             (std::uint32_t(is[(s2[j] >> 16) & 0xff]) << 16) |
-             (std::uint32_t(is[(s1[j] >> 8) & 0xff]) << 8) |
-             std::uint32_t(is[s0[j] & 0xff])) ^
-            k[3];
-        // InvMixColumns, one column per word.
-        s0[j] = u.u0[t0 >> 24] ^ u.u1[(t0 >> 16) & 0xff] ^
-                u.u2[(t0 >> 8) & 0xff] ^ u.u3[t0 & 0xff];
-        s1[j] = u.u0[t1 >> 24] ^ u.u1[(t1 >> 16) & 0xff] ^
-                u.u2[(t1 >> 8) & 0xff] ^ u.u3[t1 & 0xff];
-        s2[j] = u.u0[t2 >> 24] ^ u.u1[(t2 >> 16) & 0xff] ^
-                u.u2[(t2 >> 8) & 0xff] ^ u.u3[t2 & 0xff];
-        s3[j] = u.u0[t3 >> 24] ^ u.u1[(t3 >> 16) & 0xff] ^
-                u.u2[(t3 >> 8) & 0xff] ^ u.u3[t3 & 0xff];
+        aes::decrypt_round(s0[j], s1[j], s2[j], s3[j], g.rk[j] + 4 * r, t);
       }
     }
-    // Final inverse round, then CBC xor against the previous ciphertext.
+    // Final inverse round, with the CBC xor against the previous ciphertext
+    // folded into its round key.
     for (int j = 0; j < a; ++j) {
       const std::uint32_t* k = g.rk[j];
-      const std::uint32_t p0 =
-          (((std::uint32_t(is[s0[j] >> 24]) << 24) |
-            (std::uint32_t(is[(s3[j] >> 16) & 0xff]) << 16) |
-            (std::uint32_t(is[(s2[j] >> 8) & 0xff]) << 8) |
-            std::uint32_t(is[s1[j] & 0xff])) ^
-           k[0]) ^
-          g.c0[j];
-      const std::uint32_t p1 =
-          (((std::uint32_t(is[s1[j] >> 24]) << 24) |
-            (std::uint32_t(is[(s0[j] >> 16) & 0xff]) << 16) |
-            (std::uint32_t(is[(s3[j] >> 8) & 0xff]) << 8) |
-            std::uint32_t(is[s2[j] & 0xff])) ^
-           k[1]) ^
-          g.c1[j];
-      const std::uint32_t p2 =
-          (((std::uint32_t(is[s2[j] >> 24]) << 24) |
-            (std::uint32_t(is[(s1[j] >> 16) & 0xff]) << 16) |
-            (std::uint32_t(is[(s0[j] >> 8) & 0xff]) << 8) |
-            std::uint32_t(is[s3[j] & 0xff])) ^
-           k[2]) ^
-          g.c2[j];
-      const std::uint32_t p3 =
-          (((std::uint32_t(is[s3[j] >> 24]) << 24) |
-            (std::uint32_t(is[(s2[j] >> 16) & 0xff]) << 16) |
-            (std::uint32_t(is[(s1[j] >> 8) & 0xff]) << 8) |
-            std::uint32_t(is[s0[j] & 0xff])) ^
-           k[3]) ^
-          g.c3[j];
-      store_be32(p0, g.out[j]);
-      store_be32(p1, g.out[j] + 4);
-      store_be32(p2, g.out[j] + 8);
-      store_be32(p3, g.out[j] + 12);
+      const std::uint32_t kc[4] = {k[0] ^ g.c0[j], k[1] ^ g.c1[j],
+                                   k[2] ^ g.c2[j], k[3] ^ g.c3[j]};
+      aes::decrypt_final_round(s0[j], s1[j], s2[j], s3[j], kc, t, g.out[j]);
       g.c0[j] = x0[j];
       g.c1[j] = x1[j];
       g.c2[j] = x2[j];

@@ -1,6 +1,7 @@
 #include "crypto/des.h"
 
 #include <stdexcept>
+#include <utility>
 
 namespace wsp::des {
 
@@ -96,7 +97,7 @@ std::uint8_t sbox_lookup(int box, std::uint8_t v6) {
 }
 
 // The Feistel function on a 32-bit half with a 48-bit subkey.
-std::uint32_t feistel(std::uint32_t r, std::uint64_t k48) {
+std::uint32_t feistel_ref(std::uint32_t r, std::uint64_t k48) {
   const std::uint64_t e = permute<48, 32>(r, kE) ^ k48;
   std::uint32_t s_out = 0;
   for (int i = 0; i < 8; ++i) {
@@ -113,7 +114,7 @@ std::uint64_t crypt_ref(std::uint64_t block, const KeySchedule& ks, bool decrypt
   for (int round = 0; round < 16; ++round) {
     const std::uint64_t k = ks.k48[decrypt ? 15 - round : round];
     const std::uint32_t nl = r;
-    r = l ^ feistel(r, k);
+    r = l ^ feistel_ref(r, k);
     l = nl;
   }
   // Note the final swap: the output is (R16, L16).
@@ -121,48 +122,34 @@ std::uint64_t crypt_ref(std::uint64_t block, const KeySchedule& ks, bool decrypt
   return permute<64, 64>(preout, kFP);
 }
 
-// Lazily built SP tables: S-box output already run through the P
-// permutation and positioned in the 32-bit word.
-const std::array<std::array<std::uint32_t, 64>, 8>& sp_tables() {
-  static const auto tables = [] {
-    std::array<std::array<std::uint32_t, 64>, 8> t{};
-    for (int box = 0; box < 8; ++box) {
-      for (int v = 0; v < 64; ++v) {
-        const std::uint32_t s = sbox_lookup(box, static_cast<std::uint8_t>(v));
-        // Place the 4-bit S-box output at its position in the 32-bit
-        // pre-permutation word, then permute.
-        const std::uint32_t positioned = s << (28 - 4 * box);
-        t[box][v] =
-            static_cast<std::uint32_t>(permute<32, 32>(positioned, kP));
-      }
-    }
-    return t;
-  }();
-  return tables;
-}
-
-std::uint32_t feistel_sp(std::uint32_t r, std::uint64_t k48) {
-  const std::uint64_t e = permute<48, 32>(r, kE) ^ k48;
-  const auto& sp = sp_tables();
-  std::uint32_t out = 0;
+std::array<std::uint8_t, 8> split6(std::uint64_t k48) {
+  std::array<std::uint8_t, 8> k{};
   for (int i = 0; i < 8; ++i) {
-    out |= sp[i][(e >> (42 - 6 * i)) & 0x3f];
+    k[static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>((k48 >> (42 - 6 * i)) & 0x3f);
   }
-  return out;
+  return k;
 }
 
-std::uint64_t crypt_sp(std::uint64_t block, const KeySchedule& ks, bool decrypt) {
-  const std::uint64_t ip = permute<64, 64>(block, kIP);
+// The fused pass of des.h over `n` stage schedules (1 = DES, 3 = 3DES).
+// Two rounds per iteration update the halves in place, so no swap is
+// needed inside a stage.
+std::uint64_t crypt_fast(std::uint64_t block, const KeySchedule* const* stages,
+                         int n, bool encrypt) {
+  const FastTables& t = fast_tables();
+  const std::uint64_t ip = permute_bytes(t.ip, block);
   std::uint32_t l = static_cast<std::uint32_t>(ip >> 32);
   std::uint32_t r = static_cast<std::uint32_t>(ip);
-  for (int round = 0; round < 16; ++round) {
-    const std::uint64_t k = ks.k48[decrypt ? 15 - round : round];
-    const std::uint32_t nl = r;
-    r = l ^ feistel_sp(r, k);
-    l = nl;
+  for (int s = 0; s < n; ++s) {
+    if (s > 0) std::swap(l, r);
+    const auto& k6 = stages[s]->k6;
+    const int flip = stage_reversed(s, encrypt) ? 15 : 0;  // i ^ 15 == 15 - i
+    for (int i = 0; i < 16; i += 2) {
+      l ^= feistel(r, k6[static_cast<std::size_t>(i ^ flip)], t);
+      r ^= feistel(l, k6[static_cast<std::size_t>((i + 1) ^ flip)], t);
+    }
   }
-  const std::uint64_t preout = (static_cast<std::uint64_t>(r) << 32) | l;
-  return permute<64, 64>(preout, kFP);
+  return permute_bytes(t.fp, (static_cast<std::uint64_t>(r) << 32) | l);
 }
 
 std::uint32_t rotl28(std::uint32_t v, int n) {
@@ -181,6 +168,7 @@ KeySchedule key_schedule(std::uint64_t key) {
     d = rotl28(d, kShifts[round]);
     const std::uint64_t cd = (static_cast<std::uint64_t>(c) << 28) | d;
     ks.k48[round] = permute<48, 56>(cd, kPC2);
+    ks.k6[round] = split6(ks.k48[round]);
   }
   return ks;
 }
@@ -192,10 +180,12 @@ std::uint64_t decrypt_block_ref(std::uint64_t block, const KeySchedule& ks) {
   return crypt_ref(block, ks, true);
 }
 std::uint64_t encrypt_block(std::uint64_t block, const KeySchedule& ks) {
-  return crypt_sp(block, ks, false);
+  const KeySchedule* stage = &ks;
+  return crypt_fast(block, &stage, 1, true);
 }
 std::uint64_t decrypt_block(std::uint64_t block, const KeySchedule& ks) {
-  return crypt_sp(block, ks, true);
+  const KeySchedule* stage = &ks;
+  return crypt_fast(block, &stage, 1, false);
 }
 
 TripleKeySchedule triple_key_schedule(std::uint64_t key1, std::uint64_t key2,
@@ -205,10 +195,10 @@ TripleKeySchedule triple_key_schedule(std::uint64_t key1, std::uint64_t key2,
 }
 
 std::uint64_t encrypt_block_3des(std::uint64_t block, const TripleKeySchedule& ks) {
-  return encrypt_block(decrypt_block(encrypt_block(block, ks.k1), ks.k2), ks.k3);
+  return crypt_fast(block, stages_3des(ks, true).data(), 3, true);
 }
 std::uint64_t decrypt_block_3des(std::uint64_t block, const TripleKeySchedule& ks) {
-  return decrypt_block(encrypt_block(decrypt_block(block, ks.k3), ks.k2), ks.k1);
+  return crypt_fast(block, stages_3des(ks, false).data(), 3, false);
 }
 
 namespace {
@@ -262,20 +252,73 @@ std::vector<std::uint8_t> decrypt_cbc(const std::vector<std::uint8_t>& data,
   return out;
 }
 
+std::uint64_t encrypt_cbc_3des(const std::uint8_t* in, std::uint8_t* out,
+                               std::size_t len, const TripleKeySchedule& ks,
+                               std::uint64_t iv) {
+  check_len(len);
+  for (std::size_t i = 0; i < len; i += 8) {
+    iv = encrypt_block_3des(load_be64(in + i) ^ iv, ks);
+    store_be64(iv, out + i);
+  }
+  return iv;
+}
+
+std::uint64_t decrypt_cbc_3des(const std::uint8_t* in, std::uint8_t* out,
+                               std::size_t len, const TripleKeySchedule& ks,
+                               std::uint64_t iv) {
+  check_len(len);
+  for (std::size_t i = 0; i < len; i += 8) {
+    const std::uint64_t c = load_be64(in + i);
+    store_be64(decrypt_block_3des(c, ks) ^ iv, out + i);
+    iv = c;
+  }
+  return iv;
+}
+
+FastTables build_fast_tables() {
+  FastTables t{};
+  for (int box = 0; box < 8; ++box) {
+    for (int v = 0; v < 64; ++v) {
+      // Place the 4-bit S-box output at its position in the 32-bit
+      // pre-permutation word, then permute.
+      const std::uint32_t s = sbox_lookup(box, static_cast<std::uint8_t>(v));
+      t.sp[static_cast<std::size_t>(box)][static_cast<std::size_t>(v)] =
+          static_cast<std::uint32_t>(permute<32, 32>(s << (28 - 4 * box), kP));
+    }
+  }
+  for (int p = 0; p < 8; ++p) {
+    for (int v = 0; v < 256; ++v) {
+      const std::uint64_t x = static_cast<std::uint64_t>(v) << (56 - 8 * p);
+      t.ip[p][v] = permute<64, 64>(x, kIP);
+      t.fp[p][v] = permute<64, 64>(x, kFP);
+    }
+  }
+  return t;
+}
+
 const std::array<std::uint32_t, 64>& sp_table(int sbox) {
-  return sp_tables()[static_cast<std::size_t>(sbox)];
+  return fast_tables().sp[static_cast<std::size_t>(sbox)];
 }
 
 std::uint8_t sbox(int i, std::uint8_t v) { return sbox_lookup(i, v); }
 
 std::uint32_t f_function(std::uint32_t r, std::uint64_t k48) {
-  return feistel_sp(r, k48);
+  return feistel(r, split6(k48), fast_tables());
+}
+std::uint32_t f_function_ref(std::uint32_t r, std::uint64_t k48) {
+  return feistel_ref(r, k48);
 }
 
 std::uint64_t initial_permutation(std::uint64_t block) {
-  return permute<64, 64>(block, kIP);
+  return permute_bytes(fast_tables().ip, block);
 }
 std::uint64_t final_permutation(std::uint64_t block) {
+  return permute_bytes(fast_tables().fp, block);
+}
+std::uint64_t initial_permutation_ref(std::uint64_t block) {
+  return permute<64, 64>(block, kIP);
+}
+std::uint64_t final_permutation_ref(std::uint64_t block) {
   return permute<64, 64>(block, kFP);
 }
 

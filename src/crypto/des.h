@@ -1,25 +1,31 @@
 // DES and Triple-DES ("private-key operations" of the paper's platform).
 //
 // Two functionally identical block implementations are provided:
-//  * a reference implementation that applies every FIPS-46 permutation
-//    bit by bit (used as ground truth), and
-//  * a fast implementation using combined S-box+P-permutation (SP) lookup
-//    tables — the classic well-optimized software structure that the
-//    paper's baseline measurements represent.
-// The SP tables and key schedules are exported so the XR32 kernels
+//  * the `*_ref` oracle, which applies every FIPS-46 permutation bit by bit
+//    and is the ground truth the other paths are tested against, and
+//  * the fast path, which is what runs (SSL records, ESP, and the lane
+//    kernels of des_mb.h, which reuse its round and tables): the E expansion
+//    read as 6-bit windows of one rotate against subkeys pre-split at
+//    key_schedule time, combined S-box + P-permutation (SP) lookups, IP/FP
+//    as 8x256 byte-scatter tables, and 3DES as one fused 48-round pass.
+//    Every fast table is built from the oracle's permutations at first use,
+//    never transcribed.
+// The SP tables and 48-bit subkeys are exported so the XR32 kernels
 // (src/kernels/des_kernel.*) can place them in simulator memory.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace wsp::des {
 
-/// 16 subkeys of 48 bits each, kept as 8 x 6-bit groups packed into two
-/// 32-bit halves (24 bits used in each) for the fast/kernels path.
+/// 16 subkeys of 48 bits each, in two forms.
 struct KeySchedule {
-  std::array<std::uint64_t, 16> k48;  ///< subkeys, 48 significant bits each
+  std::array<std::uint64_t, 16> k48;  ///< oracle and XR32-kernel form
+  /// The same subkeys split into the eight 6-bit S-box inputs, S1 first.
+  std::array<std::array<std::uint8_t, 8>, 16> k6;
 };
 
 /// Expands a 64-bit key (parity bits ignored) into 16 subkeys.
@@ -29,7 +35,7 @@ KeySchedule key_schedule(std::uint64_t key);
 std::uint64_t encrypt_block_ref(std::uint64_t block, const KeySchedule& ks);
 std::uint64_t decrypt_block_ref(std::uint64_t block, const KeySchedule& ks);
 
-/// Fast single-block encrypt/decrypt (SP-table implementation).
+/// Fast single-block encrypt/decrypt.
 std::uint64_t encrypt_block(std::uint64_t block, const KeySchedule& ks);
 std::uint64_t decrypt_block(std::uint64_t block, const KeySchedule& ks);
 
@@ -39,6 +45,8 @@ struct TripleKeySchedule {
 };
 TripleKeySchedule triple_key_schedule(std::uint64_t key1, std::uint64_t key2,
                                       std::uint64_t key3);
+/// Fused fast path; equal to the E(k1), D(k2), E(k3) composition of the
+/// single-DES functions (decrypt inverts it).
 std::uint64_t encrypt_block_3des(std::uint64_t block, const TripleKeySchedule& ks);
 std::uint64_t decrypt_block_3des(std::uint64_t block, const TripleKeySchedule& ks);
 
@@ -52,6 +60,17 @@ std::vector<std::uint8_t> encrypt_cbc(const std::vector<std::uint8_t>& data,
 std::vector<std::uint8_t> decrypt_cbc(const std::vector<std::uint8_t>& data,
                                       const KeySchedule& ks, std::uint64_t iv);
 
+/// 3DES-EDE CBC over `len` bytes (a multiple of 8, else
+/// std::invalid_argument) from `in` to `out`, which may alias exactly.
+/// `iv` seeds the chain; the return value is the CBC residue (the last
+/// ciphertext block), i.e. the IV of a follow-on call.
+std::uint64_t encrypt_cbc_3des(const std::uint8_t* in, std::uint8_t* out,
+                               std::size_t len, const TripleKeySchedule& ks,
+                               std::uint64_t iv);
+std::uint64_t decrypt_cbc_3des(const std::uint8_t* in, std::uint8_t* out,
+                               std::size_t len, const TripleKeySchedule& ks,
+                               std::uint64_t iv);
+
 /// Combined S-box + P-permutation tables: sp_table(i)[v] is the 32-bit
 /// contribution of S-box i applied to 6-bit input v, already P-permuted.
 const std::array<std::uint32_t, 64>& sp_table(int sbox);
@@ -60,17 +79,79 @@ const std::array<std::uint32_t, 64>& sp_table(int sbox);
 std::uint8_t sbox(int i, std::uint8_t v);
 
 /// The Feistel F function (E expansion, key mix, S-boxes, P permutation)
-/// applied to one 32-bit half with a 48-bit subkey.  Exported so the TIE
-/// des_round unit and the kernels share a single ground truth.
+/// applied to one 32-bit half with a 48-bit subkey: fast path and oracle.
+/// Exported so the TIE des_round unit and the kernels share a single
+/// ground truth.
 std::uint32_t f_function(std::uint32_t r, std::uint64_t k48);
+std::uint32_t f_function_ref(std::uint32_t r, std::uint64_t k48);
 
-/// Applies the initial / final permutation to a 64-bit block (bit-level;
-/// exported for kernel validation).
+/// The initial / final permutation of a 64-bit block: table-driven fast
+/// path and the bit-level oracle the tables are built from.
 std::uint64_t initial_permutation(std::uint64_t block);
 std::uint64_t final_permutation(std::uint64_t block);
+std::uint64_t initial_permutation_ref(std::uint64_t block);
+std::uint64_t final_permutation_ref(std::uint64_t block);
 
 /// Big-endian conversion helpers (DES blocks are big-endian byte streams).
 std::uint64_t load_be64(const std::uint8_t* p);
 void store_be64(std::uint64_t v, std::uint8_t* p);
+
+// --- Fast-path building blocks, shared by des.cpp and des_mb.cpp ----------
+
+/// Lookup tables of the fast path, built once from the oracle.
+struct FastTables {
+  std::array<std::array<std::uint32_t, 64>, 8> sp;  ///< sp_table(i)
+  /// Byte-scatter permutations: ip[p][v] is the initial permutation of
+  /// byte v placed at byte p (MSB first); fp likewise.
+  std::uint64_t ip[8][256];
+  std::uint64_t fp[8][256];
+};
+FastTables build_fast_tables();
+/// Built on first use; inline so a hot loop pays only the guard check.
+inline const FastTables& fast_tables() {
+  static const FastTables t = build_fast_tables();
+  return t;
+}
+
+/// A bit permutation distributes over OR of disjoint bits, so the OR of
+/// the eight per-byte images is the permuted block.
+inline std::uint64_t permute_bytes(const std::uint64_t (&tab)[8][256],
+                                   std::uint64_t v) {
+  return tab[0][(v >> 56) & 0xff] | tab[1][(v >> 48) & 0xff] |
+         tab[2][(v >> 40) & 0xff] | tab[3][(v >> 32) & 0xff] |
+         tab[4][(v >> 24) & 0xff] | tab[5][(v >> 16) & 0xff] |
+         tab[6][(v >> 8) & 0xff] | tab[7][v & 0xff];
+}
+
+/// F with a pre-split subkey.  With ro = rotr32(r, 1) the eight 6-bit E
+/// groups are consecutive windows of ro: group i (0..6) is
+/// (ro >> (26 - 4i)) & 0x3f, and group 7 wraps as (ro << 2 | ro >> 30).
+inline std::uint32_t feistel(std::uint32_t r,
+                             const std::array<std::uint8_t, 8>& k,
+                             const FastTables& t) {
+  const std::uint32_t ro = (r >> 1) | (r << 31);
+  return t.sp[0][((ro >> 26) & 0x3f) ^ k[0]] ^
+         t.sp[1][((ro >> 22) & 0x3f) ^ k[1]] ^
+         t.sp[2][((ro >> 18) & 0x3f) ^ k[2]] ^
+         t.sp[3][((ro >> 14) & 0x3f) ^ k[3]] ^
+         t.sp[4][((ro >> 10) & 0x3f) ^ k[4]] ^
+         t.sp[5][((ro >> 6) & 0x3f) ^ k[5]] ^
+         t.sp[6][((ro >> 2) & 0x3f) ^ k[6]] ^
+         t.sp[7][(((ro << 2) | (ro >> 30)) & 0x3f) ^ k[7]];
+}
+
+/// A fused pass runs IP, then one 16-round stage per schedule with the
+/// halves swapped between stages (each interior FP.IP pair cancels), then
+/// FP of (r, l).  3DES-EDE encrypts with stages K1, K2, K3 and decrypts
+/// with K3, K2, K1; stage s takes its subkeys in reverse (decrypt) order
+/// iff (s is odd) == encrypt, which also covers single DES (s = 0).
+inline bool stage_reversed(int stage, bool encrypt) {
+  return ((stage & 1) != 0) == encrypt;
+}
+inline std::array<const KeySchedule*, 3> stages_3des(const TripleKeySchedule& ks,
+                                                     bool encrypt) {
+  if (encrypt) return {&ks.k1, &ks.k2, &ks.k3};
+  return {&ks.k3, &ks.k2, &ks.k1};
+}
 
 }  // namespace wsp::des

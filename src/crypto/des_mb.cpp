@@ -1,101 +1,22 @@
-// Lane-interleaved DES/3DES-CBC.
-//
-// Fast E expansion: with ro = rotr32(R, 1), the eight 6-bit E groups are
-// consecutive windows of ro — group i (0..6) is (ro >> (26 - 4i)) & 0x3f
-// and group 7 wraps as ((ro & 0xF) << 2) | (ro >> 30).  Subkeys are
-// pre-split into eight 6-bit chunks per round so the round body is eight
-// shift/xor/lookup chains with no 48-bit permute.
-//
-// IP/FP: a bit permutation is linear over OR of disjoint-support inputs,
-// so tab[p][v] = perm(uint64(v) << (56 - 8p)) gives an 8x256 scatter
-// table whose per-byte OR reproduces the exact des.cpp permutation.
-//
-// 3DES fusion: encrypt = FP.R16(k3).IP . FP.R16rev(k2).IP . FP.R16(k1).IP
-// where the crypt core's pre-output swaps halves; the interior FP.IP pairs
-// cancel, leaving IP, three 16-round stages with swap(l, r) between them,
-// pre-output swap, FP.
+// Lane-interleaved DES/3DES-CBC: the fused pass of des.h (IP, one or
+// three 16-round stages with a swap between them, FP) with the round loop
+// outermost and the lane loop innermost.  The round function, the tables
+// and the stage order all come from des.h, so width 1 is the scalar path.
 #include "des_mb.h"
 
 #include <algorithm>
-#include <array>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace wsp::des_mb {
 namespace {
 
 using des::KeySchedule;
-using des::TripleKeySchedule;
-
-struct PermTabs {
-  std::uint64_t ip[8][256];
-  std::uint64_t fp[8][256];
-};
-
-const PermTabs& perm_tabs() {
-  static const PermTabs tabs = [] {
-    PermTabs t{};
-    for (int p = 0; p < 8; ++p) {
-      for (int v = 0; v < 256; ++v) {
-        const std::uint64_t x = std::uint64_t(v) << (56 - 8 * p);
-        t.ip[p][v] = des::initial_permutation(x);
-        t.fp[p][v] = des::final_permutation(x);
-      }
-    }
-    return t;
-  }();
-  return tabs;
-}
-
-std::uint64_t apply_tab(const std::uint64_t (*tab)[256], std::uint64_t v) {
-  return tab[0][(v >> 56) & 0xff] | tab[1][(v >> 48) & 0xff] |
-         tab[2][(v >> 40) & 0xff] | tab[3][(v >> 32) & 0xff] |
-         tab[4][(v >> 24) & 0xff] | tab[5][(v >> 16) & 0xff] |
-         tab[6][(v >> 8) & 0xff] | tab[7][v & 0xff];
-}
-
-struct SpTabs {
-  const std::uint32_t* sp[8];
-};
-
-const SpTabs& sp_tabs() {
-  static const SpTabs tabs = [] {
-    SpTabs t{};
-    for (int i = 0; i < 8; ++i) t.sp[i] = des::sp_table(i).data();
-    return t;
-  }();
-  return tabs;
-}
-
-inline std::uint32_t feistel_fast(std::uint32_t r, const std::uint8_t k[8],
-                                  const SpTabs& t) {
-  const std::uint32_t ro = (r >> 1) | (r << 31);
-  return t.sp[0][((ro >> 26) & 0x3f) ^ k[0]] ^
-         t.sp[1][((ro >> 22) & 0x3f) ^ k[1]] ^
-         t.sp[2][((ro >> 18) & 0x3f) ^ k[2]] ^
-         t.sp[3][((ro >> 14) & 0x3f) ^ k[3]] ^
-         t.sp[4][((ro >> 10) & 0x3f) ^ k[4]] ^
-         t.sp[5][((ro >> 6) & 0x3f) ^ k[5]] ^
-         t.sp[6][((ro >> 2) & 0x3f) ^ k[6]] ^
-         t.sp[7][((((ro & 0xFu) << 2) | (ro >> 30)) & 0x3f) ^ k[7]];
-}
-
-// Flatten one 16-round stage into 6-bit subkey chunks, optionally in
-// reverse round order (the decrypt direction).
-void flatten_stage(const KeySchedule& ks, bool reverse,
-                   std::uint8_t out[][8]) {
-  for (int r = 0; r < 16; ++r) {
-    const std::uint64_t k48 = ks.k48[reverse ? 15 - r : r];
-    for (int i = 0; i < 8; ++i) {
-      out[r][i] = std::uint8_t((k48 >> (42 - 6 * i)) & 0x3f);
-    }
-  }
-}
 
 template <int Lanes>
 struct Group {
-  std::uint8_t kcbuf[Lanes][48][8];
-  const std::uint8_t (*kc[Lanes])[8];
+  const KeySchedule* ks[Lanes][3];  ///< stage schedules in run order
   const std::uint8_t* in[Lanes];
   std::uint8_t* out[Lanes];
   std::uint8_t* chain[Lanes];
@@ -103,23 +24,15 @@ struct Group {
   std::uint64_t c[Lanes];
   int active = 0;
 
-  void add(const CbcLane& l, bool encrypt, bool triple) {
+  void add(const CbcLane& l, bool encrypt) {
     const int j = active;
-    if (triple) {
-      const TripleKeySchedule& t3 = *l.ks3;
-      if (encrypt) {
-        flatten_stage(t3.k1, false, kcbuf[j] + 0);
-        flatten_stage(t3.k2, true, kcbuf[j] + 16);
-        flatten_stage(t3.k3, false, kcbuf[j] + 32);
-      } else {
-        flatten_stage(t3.k3, true, kcbuf[j] + 0);
-        flatten_stage(t3.k2, false, kcbuf[j] + 16);
-        flatten_stage(t3.k1, true, kcbuf[j] + 32);
-      }
+    if (l.ks3 != nullptr) {
+      const auto stages = des::stages_3des(*l.ks3, encrypt);
+      std::copy(stages.begin(), stages.end(), ks[j]);
     } else {
-      flatten_stage(*l.ks, !encrypt, kcbuf[j] + 0);
+      ks[j][0] = l.ks;
+      ks[j][1] = ks[j][2] = nullptr;
     }
-    kc[j] = kcbuf[j];
     in[j] = l.in;
     out[j] = l.out;
     chain[j] = l.chain;
@@ -134,7 +47,7 @@ struct Group {
       des::store_be64(c[j], chain[j]);
       const int last = active - 1;
       if (j != last) {
-        kc[j] = kc[last];
+        std::copy(ks[last], ks[last] + 3, ks[j]);
         in[j] = in[last];
         out[j] = out[last];
         chain[j] = chain[last];
@@ -150,40 +63,39 @@ struct Group {
 // (1 for DES, 3 for 3DES) so the swap points are uniform.
 template <int Lanes>
 void crypt_group(Group<Lanes>& g, int stages, bool encrypt) {
-  const PermTabs& pt = perm_tabs();
-  const SpTabs& sp = sp_tabs();
+  const des::FastTables& t = des::fast_tables();
   std::uint32_t l[Lanes], r[Lanes];
   std::uint64_t x[Lanes];
   while (g.active > 0) {
     const int a = g.active;
     for (int j = 0; j < a; ++j) {
-      std::uint64_t b = des::load_be64(g.in[j]);
-      if (encrypt) b ^= g.c[j];  // CBC xor before the cipher
-      x[j] = b;                  // decrypt keeps the raw ciphertext for chaining
-      const std::uint64_t ip = apply_tab(pt.ip, encrypt ? b : x[j]);
+      x[j] = des::load_be64(g.in[j]);  // decrypt keeps it for chaining
+      const std::uint64_t ip =
+          des::permute_bytes(t.ip, encrypt ? x[j] ^ g.c[j] : x[j]);
       l[j] = std::uint32_t(ip >> 32);
       r[j] = std::uint32_t(ip);
     }
     for (int s = 0; s < stages; ++s) {
-      const int base = 16 * s;
-      for (int round = 0; round < 16; ++round) {
-        for (int j = 0; j < a; ++j) {
-          const std::uint32_t nl = r[j];
-          r[j] = l[j] ^ feistel_fast(r[j], g.kc[j][base + round], sp);
-          l[j] = nl;
-        }
-      }
-      if (s + 1 < stages) {
+      if (s > 0) {
         for (int j = 0; j < a; ++j) std::swap(l[j], r[j]);
+      }
+      const int flip = des::stage_reversed(s, encrypt) ? 15 : 0;
+      for (int i = 0; i < 16; i += 2) {
+        for (int j = 0; j < a; ++j) {
+          l[j] ^= des::feistel(r[j], g.ks[j][s]->k6[i ^ flip], t);
+        }
+        for (int j = 0; j < a; ++j) {
+          r[j] ^= des::feistel(l[j], g.ks[j][s]->k6[(i + 1) ^ flip], t);
+        }
       }
     }
     for (int j = 0; j < a; ++j) {
-      const std::uint64_t preout = (std::uint64_t(r[j]) << 32) | l[j];
-      std::uint64_t y = apply_tab(pt.fp, preout);
+      std::uint64_t y =
+          des::permute_bytes(t.fp, (std::uint64_t(r[j]) << 32) | l[j]);
       if (encrypt) {
         g.c[j] = y;  // residue = ciphertext just produced
       } else {
-        y ^= g.c[j];   // CBC xor after the cipher
+        y ^= g.c[j];    // CBC xor after the cipher
         g.c[j] = x[j];  // residue = ciphertext just consumed
       }
       des::store_be64(y, g.out[j]);
@@ -205,7 +117,7 @@ void run_partitioned(CbcLane* lanes, std::size_t n, bool encrypt) {
       if (lanes[i].blocks == 0) continue;
       const bool is_triple = lanes[i].ks3 != nullptr;
       if (is_triple != (triple != 0)) continue;
-      g.add(lanes[i], encrypt, is_triple);
+      g.add(lanes[i], encrypt);
       if (g.active == Lanes) {
         crypt_group<Lanes>(g, triple ? 3 : 1, encrypt);
         g.active = 0;

@@ -2,17 +2,13 @@
 //
 // Same shape as aes_mb.h: each lane is one independent CBC stream, the
 // Feistel round loop advances all lanes of a group in lockstep, and the
-// compile-time `Lanes` width (1/2/4/8) is selected at runtime.  On top of
-// the interleave, this path is itself a faster DES than the scalar
-// des.cpp one: the E expansion is computed with shifts out of a single
-// rotate (no bit-by-bit permute), the initial/final permutations go
-// through 8x256 scatter tables, and a 3DES block runs as one fused
-// 48-round loop (the interior FP/IP pairs cancel algebraically).  All
-// tables are synthesized from the exported des.cpp ground truth
-// (sp_table, initial_permutation, final_permutation), never transcribed.
+// compile-time `Lanes` width (1/2/4/8) is selected at runtime.  The only
+// thing this file adds is the interleave: the round function, the
+// IP/FP/SP tables and the fused 3DES stage order are des.h's fast path, so
+// a width-1 group runs the same code as des::encrypt_block_3des.
 //
-// Bit-identical to des::encrypt_cbc / decrypt_cbc and the 3DES-EDE CBC
-// composition used by ssl::SecureChannel; proven differentially in
+// Bit-identical to des::encrypt_cbc / decrypt_cbc and
+// des::encrypt_cbc_3des / decrypt_cbc_3des; proven differentially in
 // tests/test_crypto_batch.cpp.
 #pragma once
 

@@ -12,10 +12,10 @@ namespace {
 
 constexpr std::size_t kIcvLen = 12;  // HMAC-SHA1-96
 
-std::uint64_t key_part(const std::vector<std::uint8_t>& key, std::size_t idx) {
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < 8; ++i) v = (v << 8) | key[8 * idx + i];
-  return v;
+des::TripleKeySchedule key_schedule(const Sa& sa) {
+  const std::uint8_t* k = sa.enc_key.data();
+  return des::triple_key_schedule(des::load_be64(k), des::load_be64(k + 8),
+                                  des::load_be64(k + 16));
 }
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
@@ -33,9 +33,6 @@ std::uint32_t get_u32(const std::uint8_t* p) {
 std::vector<std::uint8_t> seal(Sa& sa, const std::vector<std::uint8_t>& payload,
                                Rng& rng) {
   if (sa.enc_key.size() != 24) throw std::invalid_argument("esp: need a 24-byte 3DES key");
-  const auto ks = des::triple_key_schedule(key_part(sa.enc_key, 0),
-                                           key_part(sa.enc_key, 1),
-                                           key_part(sa.enc_key, 2));
   // Pad to the 8-byte block with a pad-length trailer byte.
   std::vector<std::uint8_t> plain = payload;
   const std::uint8_t pad =
@@ -44,19 +41,15 @@ std::vector<std::uint8_t> seal(Sa& sa, const std::vector<std::uint8_t>& payload,
   plain.push_back(pad);
 
   const std::uint64_t iv = rng.next_u64();
-  std::vector<std::uint8_t> ct(plain.size());
-  std::uint64_t chain = iv;
-  for (std::size_t i = 0; i < plain.size(); i += 8) {
-    chain = des::encrypt_block_3des(des::load_be64(plain.data() + i) ^ chain, ks);
-    des::store_be64(chain, ct.data() + i);
-  }
+  des::encrypt_cbc_3des(plain.data(), plain.data(), plain.size(),
+                        key_schedule(sa), iv);  // in place: now ciphertext
 
   std::vector<std::uint8_t> packet;
   put_u32(packet, sa.spi);
   put_u32(packet, ++sa.seq);
   packet.resize(packet.size() + 8);
   des::store_be64(iv, packet.data() + 8);
-  packet.insert(packet.end(), ct.begin(), ct.end());
+  packet.insert(packet.end(), plain.begin(), plain.end());
 
   const auto mac = hmac_sha1(sa.auth_key, packet);
   packet.insert(packet.end(), mac.begin(), mac.begin() + kIcvLen);
@@ -80,20 +73,9 @@ std::vector<std::uint8_t> open(const Sa& sa,
   if (get_u32(packet.data()) != sa.spi) throw std::runtime_error("esp: wrong SPI");
   if (seq_out) *seq_out = get_u32(packet.data() + 4);
 
-  const auto ks = des::triple_key_schedule(key_part(sa.enc_key, 0),
-                                           key_part(sa.enc_key, 1),
-                                           key_part(sa.enc_key, 2));
-  const std::uint64_t iv = des::load_be64(packet.data() + 8);
-  const std::size_t ct_len = body.size() - 16;
-  std::vector<std::uint8_t> plain(ct_len);
-  std::uint64_t chain = iv;
-  for (std::size_t i = 0; i < ct_len; ++i) {
-    if (i % 8 == 0) {
-      const std::uint64_t c = des::load_be64(body.data() + 16 + i);
-      des::store_be64(des::decrypt_block_3des(c, ks) ^ chain, plain.data() + i);
-      chain = c;
-    }
-  }
+  std::vector<std::uint8_t> plain(body.size() - 16);
+  des::decrypt_cbc_3des(body.data() + 16, plain.data(), plain.size(),
+                        key_schedule(sa), des::load_be64(packet.data() + 8));
   if (plain.empty()) throw std::runtime_error("esp: empty payload");
   const std::uint8_t pad = plain.back();
   if (pad + 1u > plain.size()) throw std::runtime_error("esp: bad padding");

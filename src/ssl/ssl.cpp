@@ -26,12 +26,6 @@ const char* to_string(Cipher cipher) {
 
 namespace {
 
-std::uint64_t load64(const std::vector<std::uint8_t>& v) {
-  std::uint64_t out = 0;
-  for (std::size_t i = 0; i < 8 && i < v.size(); ++i) out = (out << 8) | v[i];
-  return out;
-}
-
 std::vector<std::uint8_t> cbc_pad(std::vector<std::uint8_t> data, std::size_t block) {
   const std::size_t pad = block - (data.size() % block);
   data.insert(data.end(), pad, static_cast<std::uint8_t>(pad));
@@ -62,9 +56,9 @@ struct SecureChannel::Impl {
   std::uint64_t seq_out = 0, seq_in = 0;
   std::unique_ptr<Rc4> rc4_enc, rc4_dec;  // stream state persists across records
 
-  // Cached key schedules for the batched two-phase path only: the scalar
-  // seal()/open() path below keeps deriving per record, so batch_lanes == 1
-  // remains byte- and work-identical to the historical data plane.
+  // Key schedules, derived once per channel on first use and shared by the
+  // scalar seal()/open() path and the batched two-phase path (whose jobs
+  // point at them, hence the stable heap addresses).
   std::unique_ptr<aes::KeySchedule> aes_ks_cache;
   std::unique_ptr<des::TripleKeySchedule> des3_ks_cache;
 
@@ -77,10 +71,10 @@ struct SecureChannel::Impl {
 
   const des::TripleKeySchedule& cached_des3_ks() {
     if (!des3_ks_cache) {
+      // EDE with the key split in three 8-byte parts.
+      const std::uint8_t* k = cipher_key.data();
       des3_ks_cache = std::make_unique<des::TripleKeySchedule>(des::triple_key_schedule(
-          load64({cipher_key.begin(), cipher_key.begin() + 8}),
-          load64({cipher_key.begin() + 8, cipher_key.begin() + 16}),
-          load64({cipher_key.begin() + 16, cipher_key.begin() + 24})));
+          des::load_be64(k), des::load_be64(k + 8), des::load_be64(k + 16)));
     }
     return *des3_ks_cache;
   }
@@ -99,26 +93,16 @@ struct SecureChannel::Impl {
   std::vector<std::uint8_t> encrypt(const std::vector<std::uint8_t>& plain) {
     switch (cipher) {
       case Cipher::kTripleDesCbc: {
-        // EDE with the key split in three 8-byte parts.
-        const auto ks = des::triple_key_schedule(load64({cipher_key.begin(), cipher_key.begin() + 8}),
-                                                 load64({cipher_key.begin() + 8, cipher_key.begin() + 16}),
-                                                 load64({cipher_key.begin() + 16, cipher_key.begin() + 24}));
-        auto padded = cbc_pad(plain, 8);
-        std::vector<std::uint8_t> out(padded.size());
-        std::uint64_t chain = load64(iv_enc);
-        for (std::size_t i = 0; i < padded.size(); i += 8) {
-          chain = des::encrypt_block_3des(des::load_be64(padded.data() + i) ^ chain, ks);
-          des::store_be64(chain, out.data() + i);
-        }
-        iv_enc.assign(8, 0);
-        des::store_be64(chain, iv_enc.data());  // CBC residue chaining
+        auto out = cbc_pad(plain, 8);
+        const std::uint64_t residue = des::encrypt_cbc_3des(
+            out.data(), out.data(), out.size(), cached_des3_ks(), des::load_be64(iv_enc.data()));
+        des::store_be64(residue, iv_enc.data());  // CBC residue chaining
         return out;
       }
       case Cipher::kAes128Cbc: {
-        const auto ks = aes::key_schedule(cipher_key);
         std::array<std::uint8_t, 16> aiv{};
         std::copy(iv_enc.begin(), iv_enc.begin() + 16, aiv.begin());
-        const auto out = aes::encrypt_cbc(cbc_pad(plain, 16), ks, aiv);
+        const auto out = aes::encrypt_cbc(cbc_pad(plain, 16), cached_aes_ks(), aiv);
         iv_enc.assign(out.end() - 16, out.end());
         return out;
       }
@@ -134,18 +118,10 @@ struct SecureChannel::Impl {
     switch (cipher) {
       case Cipher::kTripleDesCbc: {
         if (ct.size() % 8 != 0) throw std::runtime_error("ssl: bad record length");
-        const auto ks = des::triple_key_schedule(load64({cipher_key.begin(), cipher_key.begin() + 8}),
-                                                 load64({cipher_key.begin() + 8, cipher_key.begin() + 16}),
-                                                 load64({cipher_key.begin() + 16, cipher_key.begin() + 24}));
         std::vector<std::uint8_t> out(ct.size());
-        std::uint64_t chain = load64(iv_dec);
-        for (std::size_t i = 0; i < ct.size(); i += 8) {
-          const std::uint64_t c = des::load_be64(ct.data() + i);
-          des::store_be64(des::decrypt_block_3des(c, ks) ^ chain, out.data() + i);
-          chain = c;
-        }
-        iv_dec.assign(8, 0);
-        des::store_be64(chain, iv_dec.data());
+        const std::uint64_t residue = des::decrypt_cbc_3des(
+            ct.data(), out.data(), ct.size(), cached_des3_ks(), des::load_be64(iv_dec.data()));
+        des::store_be64(residue, iv_dec.data());
         return cbc_unpad(std::move(out));
       }
       case Cipher::kAes128Cbc: {
@@ -154,10 +130,9 @@ struct SecureChannel::Impl {
         // with ct.end() - 16 out of range; reject it with the same error
         // cbc_unpad raises for a decrypted-to-nothing record.
         if (ct.empty()) throw std::runtime_error("ssl: empty CBC plaintext");
-        const auto ks = aes::key_schedule(cipher_key);
         std::array<std::uint8_t, 16> aiv{};
         std::copy(iv_dec.begin(), iv_dec.begin() + 16, aiv.begin());
-        auto out = aes::decrypt_cbc(ct, ks, aiv);
+        auto out = aes::decrypt_cbc(ct, cached_aes_ks(), aiv);
         iv_dec.assign(ct.end() - 16, ct.end());
         return cbc_unpad(std::move(out));
       }
@@ -174,6 +149,13 @@ SecureChannel::SecureChannel(Cipher cipher, std::vector<std::uint8_t> cipher_key
                              std::vector<std::uint8_t> mac_key,
                              std::vector<std::uint8_t> iv)
     : impl_(std::make_shared<Impl>()) {
+  // The CBC paths read the first iv_len IV bytes and the first 24 bytes
+  // of a 3DES key.
+  const CipherProfile prof = cipher_profile(cipher);
+  if (iv.size() < prof.iv_len ||
+      (cipher == Cipher::kTripleDesCbc && cipher_key.size() < prof.key_len)) {
+    throw std::invalid_argument("ssl: key or IV too short for the cipher");
+  }
   impl_->cipher = cipher;
   impl_->cipher_key = std::move(cipher_key);
   impl_->mac_key = std::move(mac_key);

@@ -265,31 +265,14 @@ void aes_round_semantics(Cpu& cpu, const Instr& in, bool final) {
   const std::uint32_t key_addr = cpu.reg(in.rs1);
   std::uint32_t rk[4];
   for (unsigned w = 0; w < 4; ++w) rk[w] = cpu.custom_load32(key_addr + 4 * w);
-  const std::uint32_t s0 = cpu.ur(kUrAes, 0), s1 = cpu.ur(kUrAes, 1),
-                      s2 = cpu.ur(kUrAes, 2), s3 = cpu.ur(kUrAes, 3);
   std::uint32_t n[4];
-  if (!final) {
-    n[0] = aes::te(0)[s0 >> 24] ^ aes::te(1)[(s1 >> 16) & 0xff] ^
-           aes::te(2)[(s2 >> 8) & 0xff] ^ aes::te(3)[s3 & 0xff] ^ rk[0];
-    n[1] = aes::te(0)[s1 >> 24] ^ aes::te(1)[(s2 >> 16) & 0xff] ^
-           aes::te(2)[(s3 >> 8) & 0xff] ^ aes::te(3)[s0 & 0xff] ^ rk[1];
-    n[2] = aes::te(0)[s2 >> 24] ^ aes::te(1)[(s3 >> 16) & 0xff] ^
-           aes::te(2)[(s0 >> 8) & 0xff] ^ aes::te(3)[s1 & 0xff] ^ rk[2];
-    n[3] = aes::te(0)[s3 >> 24] ^ aes::te(1)[(s0 >> 16) & 0xff] ^
-           aes::te(2)[(s1 >> 8) & 0xff] ^ aes::te(3)[s2 & 0xff] ^ rk[3];
+  for (unsigned w = 0; w < 4; ++w) n[w] = cpu.ur(kUrAes, w);
+  if (final) {
+    std::uint8_t block[16];
+    aes::encrypt_final_round(n[0], n[1], n[2], n[3], rk, aes::tables(), block);
+    for (unsigned w = 0; w < 4; ++w) n[w] = aes::load_be32(block + 4 * w);
   } else {
-    const auto& sb = aes::sbox();
-    auto col = [&](std::uint32_t a, std::uint32_t b, std::uint32_t c,
-                   std::uint32_t d) {
-      return (static_cast<std::uint32_t>(sb[(a >> 24) & 0xff]) << 24) |
-             (static_cast<std::uint32_t>(sb[(b >> 16) & 0xff]) << 16) |
-             (static_cast<std::uint32_t>(sb[(c >> 8) & 0xff]) << 8) |
-             sb[d & 0xff];
-    };
-    n[0] = col(s0, s1, s2, s3) ^ rk[0];
-    n[1] = col(s1, s2, s3, s0) ^ rk[1];
-    n[2] = col(s2, s3, s0, s1) ^ rk[2];
-    n[3] = col(s3, s0, s1, s2) ^ rk[3];
+    aes::encrypt_round(n[0], n[1], n[2], n[3], rk, aes::tables());
   }
   for (unsigned w = 0; w < 4; ++w) cpu.set_ur(kUrAes, w, n[w]);
 }

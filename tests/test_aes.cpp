@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "crypto/aes.h"
 #include "support/hex.h"
 #include "support/random.h"
@@ -43,6 +45,32 @@ TEST(Aes, TTableMatchesReference) {
       aes::encrypt_block_ref(block.data(), a, ks);
       aes::encrypt_block(block.data(), b, ks);
       EXPECT_EQ(to_hex(a, 16), to_hex(b, 16)) << "klen=" << klen;
+    }
+  }
+}
+
+// The table-driven inverse cipher against the byte-level oracle, for every
+// key size, on random keys and blocks plus the all-zero / all-one edges.
+TEST(AesDiff, DecryptMatchesReferenceAllKeySizes) {
+  Rng rng(72);
+  for (std::size_t klen : {16u, 24u, 32u}) {
+    std::vector<std::vector<std::uint8_t>> keys = {
+        std::vector<std::uint8_t>(klen, 0x00), std::vector<std::uint8_t>(klen, 0xff)};
+    for (int i = 0; i < 16; ++i) keys.push_back(rng.bytes(klen));
+    for (const auto& key : keys) {
+      const auto ks = aes::key_schedule(key);
+      std::vector<std::vector<std::uint8_t>> blocks = {
+          std::vector<std::uint8_t>(16, 0x00), std::vector<std::uint8_t>(16, 0xff)};
+      for (int i = 0; i < 16; ++i) blocks.push_back(rng.bytes(16));
+      for (const auto& block : blocks) {
+        std::uint8_t want[16], got[16], back[16];
+        aes::decrypt_block_ref(block.data(), want, ks);
+        aes::decrypt_block(block.data(), got, ks);
+        ASSERT_EQ(to_hex(got, 16), to_hex(want, 16))
+            << "klen=" << klen << " block " << to_hex(block);
+        aes::encrypt_block(got, back, ks);
+        ASSERT_EQ(to_hex(back, 16), to_hex(block)) << "klen=" << klen;
+      }
     }
   }
 }

@@ -4,7 +4,8 @@
 //     and the XR32 AES kernel on the ISS;
 //   * DES — FIPS-81 sample plus the classic NBS known-answer vectors,
 //     checked against the bit-level reference, the SP-table path, and both
-//     XR32 DES kernel forms;
+//     XR32 DES kernel forms; the SP 800-67 three-key 3DES example through
+//     the fused pass, the oracle composition and every lane position;
 //   * SHA-1 — FIPS 180 examples (including the one-million-'a' vector),
 //     checked against the host implementation and the XR32 SHA-1 kernel;
 //   * MD5 — RFC 1321 Appendix A.5 test suite;
@@ -179,6 +180,61 @@ TEST(KatDes, TripleDesDegeneratesToSingleDes) {
             0x3fa40e8a984d4815ULL);
   EXPECT_EQ(des::decrypt_block_3des(0x3fa40e8a984d4815ULL, ks3),
             0x4e6f772069732074ULL);
+}
+
+// SP 800-67 three-key TDEA example: K1 != K2 != K3, so unlike the
+// degenerate vector above it catches a key-order or stage-direction slip in
+// the fused 3DES pass.  ECB, three blocks of "The quick brown fox jump".
+constexpr std::uint64_t kTdeaKeys[3] = {0x0123456789ABCDEFULL, 0x23456789ABCDEF01ULL,
+                                        0x456789ABCDEF0123ULL};
+constexpr std::uint64_t kTdeaPlain[3] = {0x5468652071756663ULL, 0x6B2062726F776E20ULL,
+                                         0x666F78206A756D70ULL};
+constexpr std::uint64_t kTdeaCipher[3] = {0xA826FD8CE53B855FULL, 0xCCE21C8112256FE6ULL,
+                                          0x68D5C05DD9B6B900ULL};
+
+TEST(KatDes, Sp80067ThreeKeyTripleDes) {
+  const auto ks3 = des::triple_key_schedule(kTdeaKeys[0], kTdeaKeys[1], kTdeaKeys[2]);
+  for (int b = 0; b < 3; ++b) {
+    EXPECT_EQ(des::encrypt_block_3des(kTdeaPlain[b], ks3), kTdeaCipher[b]) << b;
+    EXPECT_EQ(des::decrypt_block_3des(kTdeaCipher[b], ks3), kTdeaPlain[b]) << b;
+    // The bit-level oracle, composed stage by stage.
+    EXPECT_EQ(des::encrypt_block_ref(
+                  des::decrypt_block_ref(des::encrypt_block_ref(kTdeaPlain[b], ks3.k1), ks3.k2),
+                  ks3.k3),
+              kTdeaCipher[b])
+        << b;
+  }
+}
+
+// The same vector through every des_mb lane position at every lane width:
+// with a zero IV, a one-block CBC lane is ECB.  Lane l of run `shift` holds
+// block (l + shift) % 3, so each block visits each lane position.
+TEST(KatDes, Sp80067ThreeKeyMultiBufferEveryLanePosition) {
+  constexpr int kLanes = 8;
+  const auto ks3 = des::triple_key_schedule(kTdeaKeys[0], kTdeaKeys[1], kTdeaKeys[2]);
+  for (const unsigned width : {1u, 2u, 4u, 8u}) {
+    for (int shift = 0; shift < 3; ++shift) {
+      std::uint8_t in[kLanes][8], out[kLanes][8], chain[kLanes][8];
+      des_mb::CbcLane lanes[kLanes];
+      for (int l = 0; l < kLanes; ++l) {
+        des::store_be64(kTdeaPlain[(l + shift) % 3], in[l]);
+        std::fill(chain[l], chain[l] + 8, 0);
+        lanes[l] = {nullptr, &ks3, in[l], out[l], 1, chain[l]};
+      }
+      des_mb::encrypt_cbc(lanes, kLanes, width);
+      for (int l = 0; l < kLanes; ++l) {
+        EXPECT_EQ(des::load_be64(out[l]), kTdeaCipher[(l + shift) % 3])
+            << "width " << width << " lane " << l;
+        std::copy(out[l], out[l] + 8, in[l]);
+        std::fill(chain[l], chain[l] + 8, 0);
+      }
+      des_mb::decrypt_cbc(lanes, kLanes, width);
+      for (int l = 0; l < kLanes; ++l) {
+        EXPECT_EQ(des::load_be64(out[l]), kTdeaPlain[(l + shift) % 3])
+            << "width " << width << " lane " << l;
+      }
+    }
+  }
 }
 
 // Same zero-IV single-block identity for the DES/3DES multi-buffer kernels:

@@ -2,6 +2,9 @@
 // cipher suites, tamper detection, and the transaction cost model.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "ssl/ssl.h"
 #include "ssl/workload.h"
 
@@ -84,6 +87,22 @@ TEST(SslCipherProfile, MatchesSuiteKeySizes) {
   EXPECT_EQ(ssl::cipher_profile(Cipher::kAes128Cbc).iv_len, 16u);
   EXPECT_EQ(ssl::cipher_profile(Cipher::kRc4).key_len, 16u);
   EXPECT_EQ(ssl::cipher_profile(Cipher::kRc4).iv_len, 0u);
+}
+
+// The CBC record paths read the first iv_len IV bytes and a 3DES key's
+// first 24 bytes in place, so shorter material is rejected up front.
+TEST(SslChannel, RejectsKeyOrIvShorterThanTheCipherReads) {
+  const std::vector<std::uint8_t> mac(20, 1);
+  const std::vector<std::uint8_t> k24(24, 2), k23(23, 2), k16(16, 2);
+  EXPECT_THROW(ssl::SecureChannel(Cipher::kTripleDesCbc, k23, mac, std::vector<std::uint8_t>(8)),
+               std::invalid_argument);
+  EXPECT_THROW(ssl::SecureChannel(Cipher::kTripleDesCbc, k24, mac, std::vector<std::uint8_t>(7)),
+               std::invalid_argument);
+  EXPECT_THROW(ssl::SecureChannel(Cipher::kAes128Cbc, k16, mac, std::vector<std::uint8_t>(15)),
+               std::invalid_argument);
+  EXPECT_NO_THROW(ssl::SecureChannel(Cipher::kTripleDesCbc, k24, mac, std::vector<std::uint8_t>(8)));
+  EXPECT_NO_THROW(ssl::SecureChannel(Cipher::kAes128Cbc, k16, mac, std::vector<std::uint8_t>(16)));
+  EXPECT_NO_THROW(ssl::SecureChannel(Cipher::kRc4, k16, mac, {}));
 }
 
 INSTANTIATE_TEST_SUITE_P(Ciphers, SslCipherTest,
