@@ -6,7 +6,15 @@
 namespace wsp::macromodel {
 
 void MacroModelSet::set(Prim p, unsigned limb_bits, RoutineModel model) {
-  models_[{static_cast<int>(p), limb_bits}] = std::move(model);
+  RoutineModel& stored = models_[{static_cast<int>(p), limb_bits}];
+  stored = std::move(model);
+  const std::size_t r = row_of(p, limb_bits);
+  if (r == table_.size()) return;
+  std::vector<double>& row = table_[r];
+  row.resize(kTableLimbs + 1);
+  for (std::size_t n = 0; n <= kTableLimbs; ++n) {
+    row[n] = stored.model.evaluate({static_cast<double>(n), 0.0});
+  }
 }
 
 bool MacroModelSet::has(Prim p, unsigned limb_bits) const {
@@ -22,8 +30,8 @@ const RoutineModel& MacroModelSet::get(Prim p, unsigned limb_bits) const {
   return it->second;
 }
 
-double MacroModelSet::cycles(Prim p, std::size_t n, std::size_t m,
-                             unsigned limb_bits) const {
+double MacroModelSet::evaluate(Prim p, std::size_t n, std::size_t m,
+                               unsigned limb_bits) const {
   return get(p, limb_bits)
       .model.evaluate({static_cast<double>(n), static_cast<double>(m)});
 }

@@ -181,6 +181,12 @@ Mpz ModexpEngine::powm_impl(const Mpz& base, const Mpz& exp, const Mpz& modulus)
 
   // --- modular multiply for the configured algorithm ----------------------
   const bool use_karatsuba = cfg_.mul == MulAlgo::kKaratsubaDiv;
+  // Division-reduction scratch, allocated once per powm.
+  std::vector<L> prod, quot;
+  if (!is_mont && !barrett) {
+    prod.resize(2 * k);
+    quot.resize(2 * k - k + 1);
+  }
   auto modmul = [&](std::vector<L>& r, const std::vector<L>& a,
                     const std::vector<L>& b) {
     if (is_mont) {
@@ -192,7 +198,6 @@ Mpz ModexpEngine::powm_impl(const Mpz& base, const Mpz& exp, const Mpz& modulus)
       return;
     }
     // Multiplication followed by division-based reduction.
-    std::vector<L> prod(2 * k, 0);
     if (use_karatsuba && k >= mpn::kKaratsubaThreshold && (k % 2) == 0) {
       mpn::mul_karatsuba(prod.data(), a.data(), b.data(), k);
       note_mul_square_events(hook_, k, mpn::kKaratsubaThreshold, kBits);
@@ -200,10 +205,9 @@ Mpz ModexpEngine::powm_impl(const Mpz& base, const Mpz& exp, const Mpz& modulus)
       mpn::mul_basecase(prod.data(), a.data(), k, b.data(), k);
       note_mul_basecase(hook_, k, k, kBits);
     }
-    std::vector<L> quot(2 * k - k + 1, 0), rem(k, 0);
-    mpn::divrem(quot.data(), rem.data(), prod.data(), 2 * k, mod_l.data(), k);
+    r.resize(k);
+    mpn::divrem(quot.data(), r.data(), prod.data(), 2 * k, mod_l.data(), k);
     note_divrem(hook_, 2 * k, k, kBits);
-    r = std::move(rem);
   };
 
   // --- domain entry --------------------------------------------------------

@@ -7,6 +7,7 @@
 // All variants are templated on the limb type to cover both radix options.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -59,6 +60,7 @@ class Mont {
       note(Prim::kCmp, nn);
     }
     r2_ = std::move(acc);
+    t_.resize(2 * nn + 1);
   }
 
   std::size_t limbs() const { return n_.size(); }
@@ -98,6 +100,12 @@ class Mont {
     if (hook_) hook_->on_prim(p, n, m, static_cast<unsigned>(kBits));
   }
 
+  // The first `len` limbs of the accumulator scratch, zeroed.
+  L* zeroed_scratch(std::size_t len) const {
+    std::fill(t_.begin(), t_.begin() + static_cast<std::ptrdiff_t>(len), L{0});
+    return t_.data();
+  }
+
   // acc (n limbs) reduced mod n in place (acc may be >= n but < 2^(n*kBits)).
   void reduce_once(std::vector<L>& acc) const {
     if (mpn::cmp(acc.data(), n_.data(), n_.size()) >= 0) {
@@ -109,21 +117,20 @@ class Mont {
   void mul_sos(std::vector<L>& rp, const std::vector<L>& a,
                const std::vector<L>& b) const {
     const std::size_t nn = n_.size();
-    std::vector<L> t(2 * nn + 1, 0);
+    L* t = zeroed_scratch(2 * nn + 1);
     for (std::size_t j = 0; j < nn; ++j) {
-      t[nn + j] = mpn::addmul_1(t.data() + j, a.data(), nn, b[j]);
+      t[nn + j] = mpn::addmul_1(t + j, a.data(), nn, b[j]);
       note(Prim::kAddMul1, nn);
     }
     for (std::size_t i = 0; i < nn; ++i) {
       const L m = static_cast<L>(t[i] * n0inv_);
-      const L carry = mpn::addmul_1(t.data() + i, n_.data(), nn, m);
+      const L carry = mpn::addmul_1(t + i, n_.data(), nn, m);
       note(Prim::kAddMul1, nn);
       // Propagate the carry limb into the upper part.
-      mpn::add_1(t.data() + i + nn, t.data() + i + nn, nn + 1 - i, carry);
+      mpn::add_1(t + i + nn, t + i + nn, nn + 1 - i, carry);
       note(Prim::kAdd1, nn - i);
     }
-    rp.assign(t.begin() + static_cast<std::ptrdiff_t>(nn),
-              t.begin() + static_cast<std::ptrdiff_t>(2 * nn));
+    rp.assign(t + nn, t + 2 * nn);
     if (t[2 * nn] || mpn::cmp(rp.data(), n_.data(), nn) >= 0) {
       mpn::sub_n(rp.data(), rp.data(), n_.data(), nn);
       note(Prim::kSubN, nn);
@@ -136,17 +143,17 @@ class Mont {
   void mul_cios(std::vector<L>& rp, const std::vector<L>& a,
                 const std::vector<L>& b) const {
     const std::size_t nn = n_.size();
-    std::vector<L> t(nn + 2, 0);
+    L* t = zeroed_scratch(nn + 2);
     for (std::size_t i = 0; i < nn; ++i) {
       // t += a * b[i]
-      L carry = mpn::addmul_1(t.data(), a.data(), nn, b[i]);
+      L carry = mpn::addmul_1(t, a.data(), nn, b[i]);
       note(Prim::kAddMul1, nn);
       W s = static_cast<W>(t[nn]) + carry;
       t[nn] = static_cast<L>(s);
       t[nn + 1] = static_cast<L>(t[nn + 1] + static_cast<L>(s >> kBits));
       // t += m * n, then shift one limb.
       const L m = static_cast<L>(t[0] * n0inv_);
-      carry = mpn::addmul_1(t.data(), n_.data(), nn, m);
+      carry = mpn::addmul_1(t, n_.data(), nn, m);
       note(Prim::kAddMul1, nn);
       s = static_cast<W>(t[nn]) + carry;
       t[nn] = static_cast<L>(s);
@@ -155,7 +162,7 @@ class Mont {
       for (std::size_t k = 0; k < nn + 1; ++k) t[k] = t[k + 1];
       t[nn + 1] = 0;
     }
-    rp.assign(t.begin(), t.begin() + static_cast<std::ptrdiff_t>(nn));
+    rp.assign(t, t + nn);
     if (t[nn] || mpn::cmp(rp.data(), n_.data(), nn) >= 0) {
       mpn::sub_n(rp.data(), rp.data(), n_.data(), nn);
       note(Prim::kSubN, nn);
@@ -168,7 +175,7 @@ class Mont {
   void mul_fios(std::vector<L>& rp, const std::vector<L>& a,
                 const std::vector<L>& b) const {
     const std::size_t nn = n_.size();
-    std::vector<L> t(nn + 2, 0);
+    L* t = zeroed_scratch(nn + 2);
     for (std::size_t i = 0; i < nn; ++i) {
       // First column decides m for this sweep.
       W sum = static_cast<W>(t[0]) + static_cast<W>(a[0]) * b[i];
@@ -191,7 +198,7 @@ class Mont {
       note(Prim::kAddMul1, nn);
       note(Prim::kAddMul1, nn);
     }
-    rp.assign(t.begin(), t.begin() + static_cast<std::ptrdiff_t>(nn));
+    rp.assign(t, t + nn);
     if (t[nn] || mpn::cmp(rp.data(), n_.data(), nn) >= 0) {
       mpn::sub_n(rp.data(), rp.data(), n_.data(), nn);
       note(Prim::kSubN, nn);
@@ -203,6 +210,9 @@ class Mont {
   L n0inv_ = 0;
   std::vector<L> r2_;
   CostHook* hook_ = nullptr;
+  // Accumulator for mul_*, sized once (2n+1 limbs) so a multiplication
+  // never allocates.  A context is used by one thread at a time.
+  mutable std::vector<L> t_;
 };
 
 }  // namespace wsp

@@ -245,8 +245,28 @@ std::size_t bit_length(const L* p, std::size_t n) {
 // Implementation of the recursive / multi-step routines.
 // ---------------------------------------------------------------------------
 
+namespace detail {
+
+/// Grow-only per-thread workspace of at least `n` limbs, one buffer per
+/// (limb type, Tag) so distinct routines never share storage.  Contents are
+/// unspecified on entry.  Owning it per thread keeps the routines free of
+/// heap traffic after warm-up and safe to call from concurrent workers.
+template <typename L, typename Tag>
+L* thread_scratch(std::size_t n) {
+  thread_local std::vector<L> buf;
+  if (buf.size() < n) buf.resize(n);
+  return buf.data();
+}
+
+struct KaratsubaScratch;
+struct DivremScratch;
+
+/// mul_karatsuba with an explicit workspace `ws` of at least 2n+4 limbs.
+/// z0 and z2 are built in place in rp; the level's own temporaries
+/// (asum | bsum | zm, 2n+4 limbs) are carved from ws only after both
+/// recursive calls have returned, so every level reuses ws from its start.
 template <typename L>
-void mul_karatsuba(L* rp, const L* a, const L* b, std::size_t n) {
+void karatsuba(L* rp, const L* a, const L* b, std::size_t n, L* ws) {
   if (n < kKaratsubaThreshold || (n & 1)) {
     mul_basecase(rp, a, n, b, n);
     return;
@@ -257,29 +277,38 @@ void mul_karatsuba(L* rp, const L* a, const L* b, std::size_t n) {
   const L* a1 = a + h;
   const L* b0 = b;
   const L* b1 = b + h;
+  L* z0 = rp;
+  L* z2 = rp + 2 * h;
+  karatsuba(z0, a0, b0, h, ws);
+  karatsuba(z2, a1, b1, h, ws);
 
-  std::vector<L> z0(2 * h), z2(2 * h), asum(h + 1), bsum(h + 1), zm(2 * h + 2);
-  mul_karatsuba(z0.data(), a0, b0, h);
-  mul_karatsuba(z2.data(), a1, b1, h);
-
-  asum[h] = add_n(asum.data(), a0, a1, h);
-  bsum[h] = add_n(bsum.data(), b0, b1, h);
+  L* asum = ws;
+  L* bsum = asum + (h + 1);
+  L* zm = bsum + (h + 1);  // 2h+2 limbs
+  asum[h] = add_n(asum, a0, a1, h);
+  bsum[h] = add_n(bsum, b0, b1, h);
   // (a0+a1)*(b0+b1): (h+1) x (h+1) product; recursion handles only equal even
   // sizes, so use the general path for the +1 limb.
-  mul_basecase(zm.data(), asum.data(), h + 1, bsum.data(), h + 1);
+  mul_basecase(zm, asum, h + 1, bsum, h + 1);
 
   // zm -= z0 + z2  ->  middle term a0*b1 + a1*b0.
-  L borrow = sub_n(zm.data(), zm.data(), z0.data(), 2 * h);
-  borrow = static_cast<L>(borrow + sub_1(zm.data() + 2 * h, zm.data() + 2 * h, 2, borrow));
-  borrow = sub_n(zm.data(), zm.data(), z2.data(), 2 * h);
-  sub_1(zm.data() + 2 * h, zm.data() + 2 * h, 2, borrow);
+  L borrow = sub_n(zm, zm, z0, 2 * h);
+  sub_1(zm + 2 * h, zm + 2 * h, 2, borrow);
+  borrow = sub_n(zm, zm, z2, 2 * h);
+  sub_1(zm + 2 * h, zm + 2 * h, 2, borrow);
 
-  // Assemble rp = z2*B^2h + zm*B^h + z0.
-  for (std::size_t i = 0; i < 2 * h; ++i) rp[i] = z0[i];
-  for (std::size_t i = 0; i < 2 * h; ++i) rp[2 * h + i] = z2[i];
-  L carry = add_n(rp + h, rp + h, zm.data(), 2 * h);
+  // rp = z2*B^2h + z0 already; add zm*B^h.
+  L carry = add_n(rp + h, rp + h, zm, 2 * h);
   carry = static_cast<L>(carry + zm[2 * h]);  // top limbs of the middle term
   add_1(rp + 3 * h, rp + 3 * h, h, carry);
+}
+
+}  // namespace detail
+
+template <typename L>
+void mul_karatsuba(L* rp, const L* a, const L* b, std::size_t n) {
+  detail::karatsuba(
+      rp, a, b, n, detail::thread_scratch<L, detail::KaratsubaScratch>(2 * n + 4));
 }
 
 template <typename L>
@@ -300,12 +329,14 @@ void divrem(L* q, L* r, const L* u, std::size_t un, const L* d, std::size_t dn) 
     return;
   }
 
-  // Normalize so the top divisor limb has its high bit set.
+  // Normalize so the top divisor limb has its high bit set; the normalized
+  // copies live in the per-thread workspace (dn_v | un_v).
   const unsigned shift = clz(d[dn - 1]);
-  std::vector<L> dn_v(dn), un_v(un + 1);
+  L* dn_v = detail::thread_scratch<L, detail::DivremScratch>(dn + un + 1);
+  L* un_v = dn_v + dn;
   if (shift) {
-    lshift(dn_v.data(), d, dn, shift);
-    un_v[un] = lshift(un_v.data(), u, un, shift);
+    lshift(dn_v, d, dn, shift);
+    un_v[un] = lshift(un_v, u, un, shift);
   } else {
     for (std::size_t i = 0; i < dn; ++i) dn_v[i] = d[i];
     for (std::size_t i = 0; i < un; ++i) un_v[i] = u[i];
@@ -330,13 +361,13 @@ void divrem(L* q, L* r, const L* u, std::size_t un, const L* d, std::size_t dn) 
       rhat += dtop;
     }
     // Multiply-subtract.
-    L borrow = submul_1(un_v.data() + j, dn_v.data(), dn, static_cast<L>(qhat));
+    L borrow = submul_1(un_v + j, dn_v, dn, static_cast<L>(qhat));
     const L top_before = un_v[j + dn];
     un_v[j + dn] = static_cast<L>(top_before - borrow);
     if (top_before < borrow) {
       // qhat was one too large; add back.
       --qhat;
-      const L carry = add_n(un_v.data() + j, un_v.data() + j, dn_v.data(), dn);
+      const L carry = add_n(un_v + j, un_v + j, dn_v, dn);
       un_v[j + dn] = static_cast<L>(un_v[j + dn] + carry);
     }
     q[j] = static_cast<L>(qhat);
@@ -344,7 +375,7 @@ void divrem(L* q, L* r, const L* u, std::size_t un, const L* d, std::size_t dn) 
 
   // Denormalize remainder.
   if (shift) {
-    rshift(r, un_v.data(), dn, shift);
+    rshift(r, un_v, dn, shift);
   } else {
     for (std::size_t i = 0; i < dn; ++i) r[i] = un_v[i];
   }

@@ -70,6 +70,51 @@ TYPED_TEST(BarrettTest, MulmodMatchesReference) {
   }
 }
 
+TYPED_TEST(BarrettTest, InterleavedContextsKeepPrivateScratch) {
+  // Two contexts of different sizes alternate on one thread (at radix 16 the
+  // 496-bit one has k = 31, so its 32 x 32-limb q1*mu product recurses in
+  // Karatsuba): each keeps its own scratch, so neither sees the other's limbs.
+  using L = TypeParam;
+  Rng rng(43);
+  const Mpz m_small = Mpz::from_hex("b1946ac92492d2347c6235b4d2611184");
+  const Mpz m_large = Mpz::from_hex(
+      "f7d8a9b3c2e1f4a5d6b7c8d9eaf1b2c48f14e45fceea167a5a36dedd4bea2543"
+      "d4c3b2a190887766554433221100ffeeddccbbaa99887766554433221100");
+  constexpr std::size_t kLimbBits = mpn::LimbTraits<L>::bits;
+  const std::size_t ks = (m_small.bit_length() + kLimbBits - 1) / kLimbBits;
+  const std::size_t kl = (m_large.bit_length() + kLimbBits - 1) / kLimbBits;
+  Barrett<L> small(to_limbs<L>(m_small, ks));
+  Barrett<L> large(to_limbs<L>(m_large, kl));
+  auto powm = [](const Barrett<L>& ctx, const Mpz& base, const Mpz& exp,
+                 std::size_t k) {
+    std::vector<L> acc(k, 0);
+    acc[0] = 1;
+    const std::vector<L> g = to_limbs<L>(base, k);
+    std::vector<L> tmp(k);
+    for (std::size_t i = exp.bit_length(); i-- > 0;) {
+      ctx.mulmod(tmp, acc, acc);
+      acc.swap(tmp);
+      if (exp.bits(i, 1)) {
+        ctx.mulmod(tmp, acc, g);
+        acc.swap(tmp);
+      }
+    }
+    return from_limbs<L>(acc);
+  };
+  for (int i = 0; i < 6; ++i) {
+    const Mpz e = Mpz::from_bytes_be(rng.bytes(8));
+    const Mpz bl = Mpz::from_bytes_be(rng.bytes(64)).mod(m_large);
+    const Mpz bs = Mpz::from_bytes_be(rng.bytes(16)).mod(m_small);
+    EXPECT_EQ(powm(large, bl, e, kl), Mpz::powm(bl, e, m_large));
+    EXPECT_EQ(powm(small, bs, e, ks), Mpz::powm(bs, e, m_small));
+    // reduce() with a short input reuses the same scratch as mulmod().
+    const Mpz x = Mpz::from_bytes_be(rng.bytes(40));
+    std::vector<L> r(kl);
+    large.reduce(r, to_limbs<L>(x, (x.bit_length() + kLimbBits - 1) / kLimbBits));
+    EXPECT_EQ(from_limbs<L>(r), x.mod(m_large));
+  }
+}
+
 TYPED_TEST(BarrettTest, ReduceOfSmallValueIsIdentity) {
   using L = TypeParam;
   const Mpz m = Mpz::from_hex("10000000000000000000000000000061");

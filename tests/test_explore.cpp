@@ -2,7 +2,10 @@
 // configurations, ranking sanity, and cross-validation against the ISS.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "explore/space.h"
 #include "macromodel/characterize.h"
@@ -108,6 +111,40 @@ TEST(Explore, FullSpaceRanksAndCovers450) {
   const auto& worst = report.ranked.back().config;
   EXPECT_EQ(worst.crt, CrtMode::kNone);
   EXPECT_EQ(worst.radix, Radix::k16);
+}
+
+// FNV-1a over raw bytes, chained through `h`.
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(Explore, FullSweepEstimatesArePinnedBitForBit) {
+  // Pins every estimate of the 450-point sweep on an RSA-512 workload: the
+  // ranking, each configuration's exact total_cycles bit pattern and its
+  // event count.  The ordering tests above would pass a change that only
+  // reorders the floating-point sum of macro-model costs; this one does not.
+  Rng rng(512);
+  RsaWorkload wl = make_rsa_workload(512, rng);
+  wl.repetitions = 2;
+  const auto report = explore::explore_modexp_space(wl, models());
+  ASSERT_EQ(report.ranked.size(), 450u);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const auto& ce : report.ranked) {
+    const std::string name = ce.config.name();
+    std::uint64_t cycles_bits = 0;
+    static_assert(sizeof(cycles_bits) == sizeof(ce.estimate.total_cycles));
+    std::memcpy(&cycles_bits, &ce.estimate.total_cycles, sizeof(cycles_bits));
+    const std::uint64_t events = ce.estimate.events;
+    h = fnv1a(h, name.data(), name.size());
+    h = fnv1a(h, &cycles_bits, sizeof(cycles_bits));
+    h = fnv1a(h, &events, sizeof(events));
+  }
+  EXPECT_EQ(h, 0xf3850586c199a5efULL) << std::hex << "sweep digest 0x" << h;
 }
 
 TEST(Explore, ValidationAgainstIssIsAccurate) {

@@ -1,6 +1,9 @@
 // Regression fitting + ISS-driven characterization of the mpn routines.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "macromodel/characterize.h"
 #include "macromodel/regression.h"
 
@@ -137,17 +140,60 @@ TEST(CharacterizeTie, TieModelsPredictFewerCycles) {
             base_models.cycles(Prim::kAddMul1, 32, 0, 32));
 }
 
+std::uint64_t bits_of(double x) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof(b));
+  return b;
+}
+
+// cycles() must be exactly the model's own evaluate({n, m}), whether it is
+// served from the precomputed table (m == 0, n <= kTableLimbs) or falls back
+// to evaluating the polynomial.
+void expect_cycles_match_models(const MacroModelSet& set, const MacroModelSet& ref) {
+  std::size_t rows = 0;
+  for (int pi = 0; pi < static_cast<int>(Prim::kCount); ++pi) {
+    const auto p = static_cast<Prim>(pi);
+    for (unsigned bits : {16u, 32u}) {
+      if (!ref.has(p, bits)) continue;
+      ++rows;
+      const PolyModel& model = ref.get(p, bits).model;
+      for (std::size_t n = 0; n <= MacroModelSet::kTableLimbs + 8; ++n) {
+        for (std::size_t m : {0u, 1u, 3u, 64u}) {
+          const double want =
+              model.evaluate({static_cast<double>(n), static_cast<double>(m)});
+          ASSERT_EQ(bits_of(set.cycles(p, n, m, bits)), bits_of(want))
+              << prim_name(p) << "@" << bits << " n=" << n << " m=" << m;
+        }
+      }
+    }
+  }
+  EXPECT_GT(rows, 0u);
+}
+
 TEST_F(CharacterizeTest, SerializationRoundTrips) {
   const std::string text = models().serialize();
   const auto restored = macromodel::MacroModelSet::deserialize(text);
-  for (Prim p : {Prim::kAddN, Prim::kAddMul1, Prim::kDiv2by1}) {
-    for (unsigned bits : {16u, 32u}) {
-      EXPECT_DOUBLE_EQ(restored.cycles(p, 24, 0, bits),
-                       models().cycles(p, 24, 0, bits))
-          << prim_name(p) << "@" << bits;
-    }
-  }
+  // deserialize() rebuilds the cost table through set(): every cycles()
+  // answer, tabulated or not, must match the original model bit for bit.
+  expect_cycles_match_models(restored, models());
   EXPECT_EQ(restored.serialize(), text);
+}
+
+TEST_F(CharacterizeTest, CostTableMatchesModelsBitForBit) {
+  expect_cycles_match_models(models(), models());
+}
+
+TEST(MacroModelSet, CostTableCoversCrossTermsAndReplacement) {
+  // A model with an n*m term and a constant: m != 0 must take the model's
+  // value, not the tabulated m == 0 one.
+  MacroModelSet set;
+  set.set(Prim::kDivrem, 32, {PolyModel({{0, 0}, {1, 0}, {1, 1}}, {7.0, 2.5, 0.125}), {}});
+  EXPECT_EQ(set.cycles(Prim::kDivrem, 40, 0, 32), 7.0 + 2.5 * 40);
+  EXPECT_EQ(set.cycles(Prim::kDivrem, 40, 8, 32), 7.0 + 2.5 * 40 + 0.125 * 40 * 8);
+  // Re-setting a routine replaces its tabulated costs.
+  set.set(Prim::kDivrem, 32, {PolyModel({{0, 0}}, {3.0}), {}});
+  EXPECT_EQ(set.cycles(Prim::kDivrem, 40, 0, 32), 3.0);
+  EXPECT_EQ(set.cycles(Prim::kDivrem, MacroModelSet::kTableLimbs + 1, 0, 32), 3.0);
 }
 
 TEST(MacroModelSet, DeserializeRejectsGarbage) {
@@ -161,6 +207,17 @@ TEST(MacroModelSet, DeserializeRejectsGarbage) {
 TEST(MacroModelSet, UnknownRoutineThrows) {
   MacroModelSet set;
   EXPECT_THROW(set.cycles(Prim::kAddN, 4, 0, 32), std::out_of_range);
+  // With one routine characterized, every other lookup still throws:
+  // another routine, the other radix, a radix without a table row, and the
+  // m != 0 and oversize fallbacks past the cost table.
+  set.set(Prim::kAddN, 32, {PolyModel({{0, 0}, {1, 0}}, {4.0, 1.0}), {}});
+  EXPECT_EQ(set.cycles(Prim::kAddN, 4, 0, 32), 8.0);
+  EXPECT_THROW(set.cycles(Prim::kSubN, 4, 0, 32), std::out_of_range);
+  EXPECT_THROW(set.cycles(Prim::kAddN, 4, 0, 16), std::out_of_range);
+  EXPECT_THROW(set.cycles(Prim::kAddN, 4, 0, 24), std::out_of_range);
+  EXPECT_THROW(set.cycles(Prim::kSubN, 4, 2, 32), std::out_of_range);
+  EXPECT_THROW(set.cycles(Prim::kSubN, MacroModelSet::kTableLimbs + 1, 0, 32),
+               std::out_of_range);
 }
 
 }  // namespace

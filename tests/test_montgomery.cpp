@@ -101,6 +101,49 @@ TYPED_TEST(MontTest, ToFromMontRoundTrips) {
   }
 }
 
+TYPED_TEST(MontTest, InterleavedContextsKeepPrivateScratch) {
+  // Two contexts of different sizes alternate on one thread: each keeps its
+  // own accumulator, so neither sees the other's limbs.
+  using L = TypeParam;
+  Rng rng(34);
+  const Mpz m_small = Mpz::from_hex("c90fdaa22168c234c4c6628b80dc1cd1");
+  const Mpz m_large = Mpz::from_hex(
+      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+      "d4c3b2a190887766554433221100ffeeddccbbaa99887766554433221100ff13");
+  constexpr std::size_t kLimbBits = mpn::LimbTraits<L>::bits;
+  const std::size_t ks = (m_small.bit_length() + kLimbBits - 1) / kLimbBits;
+  const std::size_t kl = (m_large.bit_length() + kLimbBits - 1) / kLimbBits;
+  Mont<L> small(to_limbs<L>(m_small, ks));
+  Mont<L> large(to_limbs<L>(m_large, kl));
+  // base^exp mod m by square-and-multiply through one context.
+  auto powm = [](const Mont<L>& ctx, const Mpz& base, const Mpz& exp,
+                 std::size_t k, MontVariant v) {
+    std::vector<L> one(k, 0);
+    one[0] = 1;
+    std::vector<L> acc = ctx.to_mont(one, v);
+    const std::vector<L> g = ctx.to_mont(to_limbs<L>(base, k), v);
+    std::vector<L> tmp(k);
+    for (std::size_t i = exp.bit_length(); i-- > 0;) {
+      ctx.mul(tmp, acc, acc, v);
+      acc.swap(tmp);
+      if (exp.bits(i, 1)) {
+        ctx.mul(tmp, acc, g, v);
+        acc.swap(tmp);
+      }
+    }
+    return from_limbs<L>(ctx.from_mont(acc, v));
+  };
+  for (MontVariant v : {MontVariant::kSOS, MontVariant::kCIOS, MontVariant::kFIOS}) {
+    for (int i = 0; i < 4; ++i) {
+      const Mpz e = Mpz::from_bytes_be(rng.bytes(8));
+      const Mpz bl = Mpz::from_bytes_be(rng.bytes(64)).mod(m_large);
+      const Mpz bs = Mpz::from_bytes_be(rng.bytes(16)).mod(m_small);
+      EXPECT_EQ(powm(large, bl, e, kl, v), Mpz::powm(bl, e, m_large));
+      EXPECT_EQ(powm(small, bs, e, ks, v), Mpz::powm(bs, e, m_small));
+    }
+  }
+}
+
 TEST(MontHook, ReportsAddmulEvents) {
   struct Counter : CostHook {
     std::size_t addmuls = 0;

@@ -2,6 +2,9 @@
 // against 64-bit arithmetic and against each other.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "mp/mpn.h"
 #include "support/random.h"
 
@@ -88,6 +91,28 @@ TYPED_TEST(MpnTypedTest, KaratsubaMatchesBasecase) {
   }
 }
 
+TYPED_TEST(MpnTypedTest, KaratsubaReusesWorkspaceAcrossSizes) {
+  // 16/32/64/128 limbs recurse 1..4 levels deep.  All calls on this thread
+  // share one grow-only workspace: descending sizes reuse a larger buffer
+  // than needed, ascending sizes grow it between calls.  All-ones operands
+  // drive every carry and borrow of the middle-term assembly.
+  using L = TypeParam;
+  Rng rng(14);
+  for (const auto& order : {std::vector<std::size_t>{128, 64, 32, 16},
+                            std::vector<std::size_t>{16, 32, 64, 128}}) {
+    for (std::size_t n : order) {
+      const std::vector<L> ones(n, static_cast<L>(~L{0}));
+      for (const auto& [a, b] : {std::pair{random_limbs<L>(rng, n), random_limbs<L>(rng, n)},
+                                 std::pair{ones, ones}}) {
+        std::vector<L> r1(2 * n), r2(2 * n);
+        mpn::mul_basecase(r1.data(), a.data(), n, b.data(), n);
+        mpn::mul_karatsuba(r2.data(), a.data(), b.data(), n);
+        EXPECT_EQ(r1, r2) << "n=" << n;
+      }
+    }
+  }
+}
+
 TYPED_TEST(MpnTypedTest, ShiftRoundTrip) {
   using L = TypeParam;
   Rng rng(12);
@@ -123,6 +148,27 @@ TYPED_TEST(MpnTypedTest, DivremReconstructs) {
     EXPECT_EQ(mpn::cmp2(sum.data(), sum.size(), u.data(), un), 0) << "iter=" << iter;
     EXPECT_LT(mpn::cmp2(r.data(), dn, d.data(), dn), 1);
     EXPECT_EQ(mpn::cmp2(r.data(), dn, d.data(), dn) < 0, true);
+  }
+}
+
+TYPED_TEST(MpnTypedTest, DivremLargeThenSmallReusesWorkspace) {
+  // A large division grows the per-thread workspace; a smaller one after it
+  // must not see the stale limbs left behind.
+  using L = TypeParam;
+  Rng rng(15);
+  for (const auto& [un, dn] : {std::pair<std::size_t, std::size_t>{129, 64},
+                               {9, 4}, {65, 32}, {3, 2}}) {
+    const auto u = random_limbs<L>(rng, un);
+    auto d = random_limbs<L>(rng, dn);
+    d[dn - 1] = static_cast<L>(d[dn - 1] | 1);
+    std::vector<L> q(un - dn + 1), r(dn);
+    mpn::divrem(q.data(), r.data(), u.data(), un, d.data(), dn);
+    std::vector<L> back(un + 1, 0);
+    mpn::mul_basecase(back.data(), q.data(), q.size(), d.data(), dn);
+    const L carry = mpn::add_n(back.data(), back.data(), r.data(), dn);
+    mpn::add_1(back.data() + dn, back.data() + dn, back.size() - dn, carry);
+    EXPECT_EQ(mpn::cmp2(back.data(), back.size(), u.data(), un), 0) << "un=" << un;
+    EXPECT_LT(mpn::cmp2(r.data(), dn, d.data(), dn), 0) << "un=" << un;
   }
 }
 

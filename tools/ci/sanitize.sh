@@ -8,7 +8,9 @@
 #   2. A short TSan pass over the record scheduler: the determinism and
 #      chaos tests drive the sharded session table, batched scheduler and
 #      fault-containment path from multiple worker threads, which is
-#      exactly the surface a data race would hit.
+#      exactly the surface a data race would hit.  The same pass runs the
+#      parallel Sec. 4.3 sweep (ParallelExplore): its workers share the
+#      macro-model cost table and each use the per-thread mp workspaces.
 #   3. A 100k-session `scale` smoke under both sanitizer builds: the slab
 #      arena, lock-free MPSC rings and pump handoff at real volume.
 #   4. Batched data-plane smokes: the chaos scenario at --batch-lanes 8
@@ -126,7 +128,8 @@ cmake -B "$TSAN_DIR" -S "$SRC_DIR" -DWSP_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$JOBS" \
       --target test_server test_server_faults test_server_determinism \
                test_scenario_determinism test_threadpool test_ring_arena \
-               test_checkpoint_determinism bench_server wspc replay
+               test_checkpoint_determinism test_parallel_explore bench_server \
+               wspc replay
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 
 (
@@ -134,7 +137,7 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
   # ServerScheduler includes the fault-containment tests (a poisoned task
   # racing the pump's failure accounting is the interesting interleaving);
   # ServerChaos runs the whole engine under fault injection.
-  ctest -R 'ServerScheduler|ServerEngine|ServerDeterminism|ServerSoak|ServerChaos|ServerBatch|ServerSessionFaults|ServerTable|MpscRing|ServerScaleSoak|ThreadPool|ScenarioDeterminism|CheckpointDeterminism' \
+  ctest -R 'ServerScheduler|ServerEngine|ServerDeterminism|ServerSoak|ServerChaos|ServerBatch|ServerSessionFaults|ServerTable|MpscRing|ServerScaleSoak|ThreadPool|ScenarioDeterminism|CheckpointDeterminism|ParallelExplore' \
         --output-on-failure
 )
 
