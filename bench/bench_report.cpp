@@ -424,18 +424,10 @@ bench::BenchResult run_server() {
     r.cycles["crash/torn_resume_mismatch"] = torn_mismatch;
   }
   {
-    // Batched data plane (docs/server.md §batching): the same CBC-heavy
-    // traffic at batch_lanes 1/4/8.  Deterministic metrics must be
-    // bit-identical across lane widths — lanes_mismatch counts divergences
-    // and is gated exactly-zero — while host_speedup_* are measured
-    // CPU-time ratios (median of 7 alternating runs per lane width) gated with
-    // a wide tolerance.
-    const auto batch =
-        bench::run_batch_lanes(bench::batch_scenario(76, 96), cfg.threads, 7);
-    bench::append_server_metrics(r, "batch/", batch.reports[2]);
-    r.cycles["batch/lanes_mismatch"] = batch.mismatches;
-    r.cycles["batch/host_speedup_4v1"] = batch.speedup(1);
-    r.cycles["batch/host_speedup_8v1"] = batch.speedup(2);
+    // CBC record traffic (docs/server.md): resumed AES/3DES sessions.
+    const auto rep = server::Engine(bench::batch_config(cfg.threads))
+                         .run(bench::batch_scenario(76, 96));
+    bench::append_server_metrics(r, "batch/", rep);
   }
   r.wall_ns = ns_since(t0);
   r.threads = cfg.threads;

@@ -15,9 +15,6 @@
 //   --sessions N    arrivals per scenario (default 96)
 //   --shards N      table/scheduler/service shards (default 4)
 //   --queue-cap N   per-shard waiting room for the steady/closed runs
-//   --batch-lanes N batched data-plane lane width for the steady/overload/
-//                   closed/chaos/scale runs (1..8, default 1 = scalar; the
-//                   batch scenario sweeps 1/4/8 regardless)
 //   --scenario S    steady|overload|closed|chaos|crash|batch|scale|all
 //                   (default all)
 //   --scale-sessions N  arrivals for the scale scenario (default 100000)
@@ -138,9 +135,6 @@ int main(int argc, char** argv) {
   const auto queue_cap = static_cast<std::size_t>(std::strtoull(
       bench::parse_string_flag(argc, argv, "--queue-cap", "64").c_str(),
       nullptr, 10));
-  const auto batch_lanes = static_cast<unsigned>(std::strtoul(
-      bench::parse_string_flag(argc, argv, "--batch-lanes", "1").c_str(),
-      nullptr, 10));
   const std::string which =
       bench::parse_string_flag(argc, argv, "--scenario", "all");
   const auto scale_sessions = static_cast<std::size_t>(std::strtoull(
@@ -233,7 +227,6 @@ int main(int argc, char** argv) {
   cfg.threads = threads;
   cfg.shards = shards;
   cfg.queue_capacity = queue_cap;
-  cfg.batch_lanes = batch_lanes;
 
   bench::BenchResult result;
   result.name = "server";
@@ -379,33 +372,12 @@ int main(int argc, char** argv) {
   }
 
   if (which == "all" || which == "batch") {
-    // Batched data plane: the same CBC-heavy traffic at lanes 1, 4 and 8.
-    // The deterministic report is a hard gate — any divergence is a bug in
-    // the batching layer, not a tolerance matter — and the CPU-time ratio
-    // is the host-side payoff the baseline tracks (batch/host_speedup_*).
-    const auto batch = bench::run_batch_lanes(
-        bench::batch_scenario(seed + 5, sessions), threads, 7);
-    for (int i = 0; i < 3; ++i) {
-      print_report(("batch (CBC mix, lanes " +
-                    std::to_string(bench::BatchLanesRun::kLanes[i]) + ")")
-                       .c_str(),
-                   batch.reports[i]);
-    }
-    if (batch.mismatches != 0) {
-      std::fprintf(stderr, "batch scenario: deterministic report diverged "
-                           "across lane widths or repetitions\n");
-      return 1;
-    }
-    bench::append_server_metrics(result, "batch/", batch.reports[2]);
-    result.cycles["batch/lanes_mismatch"] = 0.0;
-    result.cycles["batch/host_speedup_4v1"] = batch.speedup(1);
-    result.cycles["batch/host_speedup_8v1"] = batch.speedup(2);
-    std::printf("\n  batch host speedup (median of 7 CPU times): lanes 4 "
-                "%.2fx, lanes 8 %.2fx (%llu batched records, %llu flushes "
-                "at lanes 8)\n",
-                batch.speedup(1), batch.speedup(2),
-                static_cast<unsigned long long>(batch.reports[2].batched_records),
-                static_cast<unsigned long long>(batch.reports[2].batch_flushes));
+    // CBC record traffic: resumed AES/3DES sessions, so the host time is
+    // the record ciphers.
+    const auto rep = server::Engine(bench::batch_config(threads))
+                         .run(bench::batch_scenario(seed + 5, sessions));
+    print_report("batch (CBC mix)", rep);
+    bench::append_server_metrics(result, "batch/", rep);
   }
 
   if (which == "all" || which == "scale") {
@@ -414,7 +386,6 @@ int main(int argc, char** argv) {
     // is always the --scale-sessions point so the regression gate compares
     // like with like; --scale-sweep adds labeled 100k/250k/1M points.
     server::EngineConfig scfg = bench::scale_config(threads);
-    scfg.batch_lanes = batch_lanes;
     std::vector<std::pair<std::string, std::size_t>> points;
     if (scale_sweep) {
       points = {{"scale_100k/", 100000},

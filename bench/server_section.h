@@ -5,8 +5,6 @@
 // schema tests.
 #pragma once
 
-#include <algorithm>
-#include <ctime>
 #include <string>
 #include <vector>
 
@@ -83,12 +81,9 @@ inline server::TrafficScenario scale_scenario(std::uint64_t seed,
   return s;
 }
 
-/// Batched data-plane traffic (docs/server.md): resumed sessions so the
-/// wall time is the record ciphers rather than RSA, a CBC-only mix (the
-/// multi-buffer kernels' domain; RC4 stream state cannot cross lanes), and
-/// enough records per session that cohorts stay full.  The same scenario is
-/// run at batch_lanes 1/4/8 — the deterministic report must be identical,
-/// only the host wall time may move.
+/// CBC record traffic (docs/server.md): resumed sessions so the wall time
+/// is the record ciphers rather than RSA, an AES/3DES-only mix, and many
+/// records per session.
 inline server::TrafficScenario batch_scenario(std::uint64_t seed,
                                               std::size_t sessions) {
   server::TrafficScenario s;
@@ -103,15 +98,14 @@ inline server::TrafficScenario batch_scenario(std::uint64_t seed,
   return s;
 }
 
-/// Engine shape for the batch run: pinned shards, roomy rings so admission
-/// is load-model-driven, and cohorts of a full record_batch of sessions.
-inline server::EngineConfig batch_config(unsigned threads, unsigned lanes) {
+/// Engine shape for the batch run: pinned shards and roomy rings so
+/// admission is load-model-driven.
+inline server::EngineConfig batch_config(unsigned threads) {
   server::EngineConfig cfg;
   cfg.threads = threads;
   cfg.shards = 4;
   cfg.queue_capacity = 256;
   cfg.record_batch = 16;
-  cfg.batch_lanes = lanes;
   return cfg;
 }
 
@@ -189,9 +183,10 @@ inline void append_server_metrics(BenchResult& r, const std::string& prefix,
 }
 
 /// True when two runs agree on every deterministic field the bench layer
-/// flattens, plus the per-shard replay event digests.  This is the batch
-/// scenario's hard gate: the same traffic at different batch_lanes (or
-/// --threads) must compare equal here, bit for bit.
+/// flattens, plus the per-shard replay event digests.  The crash and
+/// scenario-compiler gates: runs that must be the same run (resumed vs.
+/// uninterrupted, compiled vs. hand-built, any --threads) compare equal
+/// here, bit for bit.
 inline bool reports_deterministically_equal(const server::RunReport& a,
                                             const server::RunReport& b) {
   BenchResult ra, rb;
@@ -203,52 +198,6 @@ inline bool reports_deterministically_equal(const server::RunReport& a,
     if (a.shards[i].events_digest != b.shards[i].events_digest) return false;
   }
   return true;
-}
-
-/// Process CPU seconds, all threads (other tenants' time does not count).
-inline double process_cpu_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
-}
-
-/// The batch scenario at batch_lanes 1, 4 and 8 (docs/server.md §7).
-struct BatchLanesRun {
-  static constexpr unsigned kLanes[3] = {1, 4, 8};
-  server::RunReport reports[3];  ///< first run at each width
-  double cpu_s[3] = {0, 0, 0};   ///< median process CPU seconds per width
-  int mismatches = 0;            ///< widths whose reports ever differed from lanes 1
-  double speedup(int i) const { return cpu_s[0] / cpu_s[i]; }
-};
-
-/// Runs every width `repetitions` times, alternating the widths inside
-/// each repetition so host drift hits all three alike, and keeps each
-/// width's median CPU time (steadier than the best: one lucky run cannot
-/// move it).  Every run's report is compared with the first lanes-1 one.
-inline BatchLanesRun run_batch_lanes(const server::TrafficScenario& scenario,
-                                     unsigned threads, int repetitions) {
-  BatchLanesRun out;
-  std::vector<double> samples[3];
-  bool mismatch[3] = {false, false, false};
-  for (int rep = 0; rep < repetitions; ++rep) {
-    for (int i = 0; i < 3; ++i) {
-      server::Engine engine(batch_config(threads, BatchLanesRun::kLanes[i]));
-      const double t0 = process_cpu_seconds();
-      server::RunReport report = engine.run(scenario);
-      samples[i].push_back(process_cpu_seconds() - t0);
-      if (rep == 0) out.reports[i] = report;
-      if (!reports_deterministically_equal(out.reports[0], report)) {
-        mismatch[i] = true;
-      }
-    }
-  }
-  for (int i = 0; i < 3; ++i) {
-    auto mid = samples[i].begin() + static_cast<std::ptrdiff_t>(samples[i].size() / 2);
-    std::nth_element(samples[i].begin(), mid, samples[i].end());
-    out.cpu_s[i] = *mid;
-    out.mismatches += mismatch[i] ? 1 : 0;
-  }
-  return out;
 }
 
 }  // namespace wsp::bench

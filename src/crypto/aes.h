@@ -4,8 +4,7 @@
 //  * the `*_ref` oracle: byte-oriented SubBytes / ShiftRows / MixColumns
 //    rounds, the ground truth mirroring the "well-optimized C" baseline
 //    measured in the paper's Table 1, and
-//  * the table-driven path that runs (SSL records, and the lane kernels of
-//    aes_mb.h, which reuse its rounds and tables): T-table encryption, the
+//  * the table-driven path that runs (SSL records): T-table encryption, the
 //    structure the XR32 kernels implement, and the inverse cipher as an
 //    inverse-S-box gather followed by InvMixColumns through U tables.
 // Every table is synthesized from GF(2^8) arithmetic at first use rather
@@ -59,7 +58,7 @@ const std::array<std::uint8_t, 256>& inv_sbox();
 /// GF(2^8) multiply (AES polynomial x^8+x^4+x^3+x+1).
 std::uint8_t gf_mul(std::uint8_t a, std::uint8_t b);
 
-// --- Table-driven rounds, shared by aes.cpp, aes_mb.cpp and the TIE model --
+// --- Table-driven rounds, shared by aes.cpp and the TIE model --------------
 //
 // The state is four big-endian column words s0..s3 (separate scalars, not
 // an array, so they stay in registers).  Inner rounds update them in

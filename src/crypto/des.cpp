@@ -122,6 +122,84 @@ std::uint64_t crypt_ref(std::uint64_t block, const KeySchedule& ks, bool decrypt
   return permute<64, 64>(preout, kFP);
 }
 
+// --- fast path: tables and rounds, built from the oracle above ----------
+
+// Lookup tables of the fast path, built once from the oracle.
+struct FastTables {
+  std::array<std::array<std::uint32_t, 64>, 8> sp;  // sp_table(i)
+  // Byte-scatter permutations: ip[p][v] is the initial permutation of
+  // byte v placed at byte p (MSB first); fp likewise.
+  std::uint64_t ip[8][256];
+  std::uint64_t fp[8][256];
+};
+
+FastTables build_fast_tables() {
+  FastTables t{};
+  for (int box = 0; box < 8; ++box) {
+    for (int v = 0; v < 64; ++v) {
+      // Place the 4-bit S-box output at its position in the 32-bit
+      // pre-permutation word, then permute.
+      const std::uint32_t s = sbox_lookup(box, static_cast<std::uint8_t>(v));
+      t.sp[static_cast<std::size_t>(box)][static_cast<std::size_t>(v)] =
+          static_cast<std::uint32_t>(permute<32, 32>(s << (28 - 4 * box), kP));
+    }
+  }
+  for (int p = 0; p < 8; ++p) {
+    for (int v = 0; v < 256; ++v) {
+      const std::uint64_t x = static_cast<std::uint64_t>(v) << (56 - 8 * p);
+      t.ip[p][v] = permute<64, 64>(x, kIP);
+      t.fp[p][v] = permute<64, 64>(x, kFP);
+    }
+  }
+  return t;
+}
+
+// Built on first use, so a hot loop pays only the guard check.
+const FastTables& fast_tables() {
+  static const FastTables t = build_fast_tables();
+  return t;
+}
+
+// A bit permutation distributes over OR of disjoint bits, so the OR of
+// the eight per-byte images is the permuted block.
+std::uint64_t permute_bytes(const std::uint64_t (&tab)[8][256],
+                            std::uint64_t v) {
+  return tab[0][(v >> 56) & 0xff] | tab[1][(v >> 48) & 0xff] |
+         tab[2][(v >> 40) & 0xff] | tab[3][(v >> 32) & 0xff] |
+         tab[4][(v >> 24) & 0xff] | tab[5][(v >> 16) & 0xff] |
+         tab[6][(v >> 8) & 0xff] | tab[7][v & 0xff];
+}
+
+// F with a pre-split subkey.  With ro = rotr32(r, 1) the eight 6-bit E
+// groups are consecutive windows of ro: group i (0..6) is
+// (ro >> (26 - 4i)) & 0x3f, and group 7 wraps as (ro << 2 | ro >> 30).
+std::uint32_t feistel(std::uint32_t r, const std::array<std::uint8_t, 8>& k,
+                      const FastTables& t) {
+  const std::uint32_t ro = (r >> 1) | (r << 31);
+  return t.sp[0][((ro >> 26) & 0x3f) ^ k[0]] ^
+         t.sp[1][((ro >> 22) & 0x3f) ^ k[1]] ^
+         t.sp[2][((ro >> 18) & 0x3f) ^ k[2]] ^
+         t.sp[3][((ro >> 14) & 0x3f) ^ k[3]] ^
+         t.sp[4][((ro >> 10) & 0x3f) ^ k[4]] ^
+         t.sp[5][((ro >> 6) & 0x3f) ^ k[5]] ^
+         t.sp[6][((ro >> 2) & 0x3f) ^ k[6]] ^
+         t.sp[7][(((ro << 2) | (ro >> 30)) & 0x3f) ^ k[7]];
+}
+
+// A fused pass runs IP, then one 16-round stage per schedule with the
+// halves swapped between stages (each interior FP.IP pair cancels), then
+// FP of (r, l).  3DES-EDE encrypts with stages K1, K2, K3 and decrypts
+// with K3, K2, K1; stage s takes its subkeys in reverse (decrypt) order
+// iff (s is odd) == encrypt, which also covers single DES (s = 0).
+bool stage_reversed(int stage, bool encrypt) {
+  return ((stage & 1) != 0) == encrypt;
+}
+std::array<const KeySchedule*, 3> stages_3des(const TripleKeySchedule& ks,
+                                              bool encrypt) {
+  if (encrypt) return {&ks.k1, &ks.k2, &ks.k3};
+  return {&ks.k3, &ks.k2, &ks.k1};
+}
+
 std::array<std::uint8_t, 8> split6(std::uint64_t k48) {
   std::array<std::uint8_t, 8> k{};
   for (int i = 0; i < 8; ++i) {
@@ -131,7 +209,7 @@ std::array<std::uint8_t, 8> split6(std::uint64_t k48) {
   return k;
 }
 
-// The fused pass of des.h over `n` stage schedules (1 = DES, 3 = 3DES).
+// The fused pass above over `n` stage schedules (1 = DES, 3 = 3DES).
 // Two rounds per iteration update the halves in place, so no swap is
 // needed inside a stage.
 std::uint64_t crypt_fast(std::uint64_t block, const KeySchedule* const* stages,
@@ -273,27 +351,6 @@ std::uint64_t decrypt_cbc_3des(const std::uint8_t* in, std::uint8_t* out,
     iv = c;
   }
   return iv;
-}
-
-FastTables build_fast_tables() {
-  FastTables t{};
-  for (int box = 0; box < 8; ++box) {
-    for (int v = 0; v < 64; ++v) {
-      // Place the 4-bit S-box output at its position in the 32-bit
-      // pre-permutation word, then permute.
-      const std::uint32_t s = sbox_lookup(box, static_cast<std::uint8_t>(v));
-      t.sp[static_cast<std::size_t>(box)][static_cast<std::size_t>(v)] =
-          static_cast<std::uint32_t>(permute<32, 32>(s << (28 - 4 * box), kP));
-    }
-  }
-  for (int p = 0; p < 8; ++p) {
-    for (int v = 0; v < 256; ++v) {
-      const std::uint64_t x = static_cast<std::uint64_t>(v) << (56 - 8 * p);
-      t.ip[p][v] = permute<64, 64>(x, kIP);
-      t.fp[p][v] = permute<64, 64>(x, kFP);
-    }
-  }
-  return t;
 }
 
 const std::array<std::uint32_t, 64>& sp_table(int sbox) {

@@ -3,8 +3,7 @@
 // Two functionally identical block implementations are provided:
 //  * the `*_ref` oracle, which applies every FIPS-46 permutation bit by bit
 //    and is the ground truth the other paths are tested against, and
-//  * the fast path, which is what runs (SSL records, ESP, and the lane
-//    kernels of des_mb.h, which reuse its round and tables): the E expansion
+//  * the fast path, which is what runs (SSL records, ESP): the E expansion
 //    read as 6-bit windows of one rotate against subkeys pre-split at
 //    key_schedule time, combined S-box + P-permutation (SP) lookups, IP/FP
 //    as 8x256 byte-scatter tables, and 3DES as one fused 48-round pass.
@@ -95,63 +94,5 @@ std::uint64_t final_permutation_ref(std::uint64_t block);
 /// Big-endian conversion helpers (DES blocks are big-endian byte streams).
 std::uint64_t load_be64(const std::uint8_t* p);
 void store_be64(std::uint64_t v, std::uint8_t* p);
-
-// --- Fast-path building blocks, shared by des.cpp and des_mb.cpp ----------
-
-/// Lookup tables of the fast path, built once from the oracle.
-struct FastTables {
-  std::array<std::array<std::uint32_t, 64>, 8> sp;  ///< sp_table(i)
-  /// Byte-scatter permutations: ip[p][v] is the initial permutation of
-  /// byte v placed at byte p (MSB first); fp likewise.
-  std::uint64_t ip[8][256];
-  std::uint64_t fp[8][256];
-};
-FastTables build_fast_tables();
-/// Built on first use; inline so a hot loop pays only the guard check.
-inline const FastTables& fast_tables() {
-  static const FastTables t = build_fast_tables();
-  return t;
-}
-
-/// A bit permutation distributes over OR of disjoint bits, so the OR of
-/// the eight per-byte images is the permuted block.
-inline std::uint64_t permute_bytes(const std::uint64_t (&tab)[8][256],
-                                   std::uint64_t v) {
-  return tab[0][(v >> 56) & 0xff] | tab[1][(v >> 48) & 0xff] |
-         tab[2][(v >> 40) & 0xff] | tab[3][(v >> 32) & 0xff] |
-         tab[4][(v >> 24) & 0xff] | tab[5][(v >> 16) & 0xff] |
-         tab[6][(v >> 8) & 0xff] | tab[7][v & 0xff];
-}
-
-/// F with a pre-split subkey.  With ro = rotr32(r, 1) the eight 6-bit E
-/// groups are consecutive windows of ro: group i (0..6) is
-/// (ro >> (26 - 4i)) & 0x3f, and group 7 wraps as (ro << 2 | ro >> 30).
-inline std::uint32_t feistel(std::uint32_t r,
-                             const std::array<std::uint8_t, 8>& k,
-                             const FastTables& t) {
-  const std::uint32_t ro = (r >> 1) | (r << 31);
-  return t.sp[0][((ro >> 26) & 0x3f) ^ k[0]] ^
-         t.sp[1][((ro >> 22) & 0x3f) ^ k[1]] ^
-         t.sp[2][((ro >> 18) & 0x3f) ^ k[2]] ^
-         t.sp[3][((ro >> 14) & 0x3f) ^ k[3]] ^
-         t.sp[4][((ro >> 10) & 0x3f) ^ k[4]] ^
-         t.sp[5][((ro >> 6) & 0x3f) ^ k[5]] ^
-         t.sp[6][((ro >> 2) & 0x3f) ^ k[6]] ^
-         t.sp[7][(((ro << 2) | (ro >> 30)) & 0x3f) ^ k[7]];
-}
-
-/// A fused pass runs IP, then one 16-round stage per schedule with the
-/// halves swapped between stages (each interior FP.IP pair cancels), then
-/// FP of (r, l).  3DES-EDE encrypts with stages K1, K2, K3 and decrypts
-/// with K3, K2, K1; stage s takes its subkeys in reverse (decrypt) order
-/// iff (s is odd) == encrypt, which also covers single DES (s = 0).
-inline bool stage_reversed(int stage, bool encrypt) {
-  return ((stage & 1) != 0) == encrypt;
-}
-inline std::array<const KeySchedule*, 3> stages_3des(const TripleKeySchedule& ks,
-                                                     bool encrypt) {
-  if (encrypt) return {&ks.k1, &ks.k2, &ks.k3};
-  return {&ks.k3, &ks.k2, &ks.k1};
-}
 
 }  // namespace wsp::des

@@ -2,15 +2,18 @@
 // barrier, and its wsp-replay-v1 chunk codec (docs/recovery.md).
 //
 // A checkpoint is taken by Engine::run between two arrivals, after the
-// RecordScheduler has quiesced: every pushed work item has executed, so the
-// only live sessions are parked cohort members (batch_lanes > 1) that were
-// staged but not yet flushed — all still kPending, never touched by a
-// worker.  That makes the captured state exact and thread-invariant:
+// RecordScheduler has quiesced: every pushed work item has executed, so no
+// session is live and every admitted one has finalized.  That makes the
+// captured state exact and thread-invariant:
 //
 //   * every finalized session's outcome (a SessionEvent) in arrival order;
-//   * every parked session as its admission config (phase, cipher, size,
-//     seed, resume flag) plus its slab handle — a kPending session is a
-//     pure function of its config, so no key material is serialized;
+//   * legacy traces only: every parked session as its admission config
+//     (phase, cipher, size, seed, resume flag) plus its slab handle.  The
+//     removed batched record plane (lanes > 1) left sessions staged but
+//     unflushed at a barrier — still kPending, a pure function of their
+//     config, so no key material was serialized.  Current engines never
+//     park; the codec and validator keep reading such entries and resume
+//     re-admits them onto the pump;
 //   * the virtual queueing model (per-shard busy_until + pending
 //     completions, counters, latencies, degrade state);
 //   * the traffic generator's full state, snapshotted BEFORE the draw of
@@ -21,7 +24,7 @@
 //
 // Restoring a checkpoint into Engine::run(scenario, checkpoint) and letting
 // the run finish produces a RunReport bit-identical to the uninterrupted
-// run on every deterministic field, for any --threads × batch_lanes pair.
+// run on every deterministic field, for any --threads.
 //
 // Wire format: one kCheckpoint chunk per barrier, appended to the trace
 // after the input chunks (server/record.h).  Legacy readers skip unknown
@@ -53,10 +56,10 @@ struct CheckpointShard {
   bool operator==(const CheckpointShard&) const = default;
 };
 
-/// A parked (staged-but-unflushed) cohort member: everything needed to
-/// re-admit it on resume.  The fault schedule and handshake budget are NOT
-/// stored — both are re-derived from (scenario seed, id, phase) exactly as
-/// at original admission.
+/// A parked session (legacy traces only: staged but unflushed by the removed
+/// batched record plane): everything needed to re-admit it on resume.  The
+/// fault schedule and handshake budget are NOT stored — both are re-derived
+/// from (scenario seed, id, phase) exactly as at original admission.
 struct ParkedSession {
   std::uint32_t phase = 0;  ///< scenario phase it arrived in (0 when flat)
   ssl::Cipher cipher = ssl::Cipher::kRc4;

@@ -1,16 +1,13 @@
 #include "server/engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <deque>
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 
-#include "crypto/batch.h"
 #include "server/checkpoint.h"
 #include "server/session_table.h"
 #include "support/trace.h"
@@ -151,10 +148,6 @@ Engine::Engine(const EngineConfig& config) : config_(config) {
   if (config_.rsa_bits < 512) {
     throw std::invalid_argument(
         "server: EngineConfig.rsa_bits must be >= 512");
-  }
-  if (config_.batch_lanes < 1 || config_.batch_lanes > crypto::kMaxBatchLanes) {
-    throw std::invalid_argument(
-        "server: EngineConfig.batch_lanes must be in [1, 8]");
   }
   config_.faults.validate();
   if (!std::isfinite(config_.checkpoint_every) ||
@@ -313,13 +306,10 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
   std::vector<double> latencies;
   bool degraded = false;
 
-  // Shared by the scalar closure and the batched cohorts: the handshake
-  // retry ladder (returns true when the session aborted instead of
-  // establishing) and the slot/table finalization every session gets
-  // exactly once.  Both are called from worker threads; `table` is sharded
-  // and a shard's sessions are pumped FIFO on one worker (scheduler.h).
-  // `resume` and `hs_budget` are per session now: a program phase sets its
-  // own resume fraction and may override the fault budgets.
+  // The handshake retry ladder: returns true when the session aborted
+  // instead of establishing.  Called from worker threads; `resume` and
+  // `hs_budget` are per session, since a program phase sets its own resume
+  // fraction and may override the fault budgets.
   auto establish = [server_key](Session* session, bool resume,
                                 unsigned hs_budget) -> bool {
     for (unsigned attempt = 0;; ++attempt) {
@@ -349,142 +339,19 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
       }
     }
   };
-  auto finalize = [&table](Session* session, SessionHandle handle, Slot* slot,
-                           bool aborted) {
-    slot->wire_bytes = session->wire_bytes();
-    slot->records = session->records();
-    const std::uint32_t attempts = session->handshake_attempts();
-    slot->retries = session->retries() + (attempts > 0 ? attempts - 1 : 0);
-    slot->repairs = session->repairs();
-    slot->faults = session->faults_seen();
-    slot->aborted = aborted;
-    table.erase(handle);
-  };
 
-  // Batched data plane (batch_lanes > 1): sessions are collected into
-  // per-shard cohorts and drained three-phase — every member stages one
-  // record's seal, one dispatcher flush runs the cipher passes
-  // lane-interleaved, then the opens, then verification — so the kernels
-  // see `batch_lanes` records from distinct sessions side by side.  All
-  // per-session state advances in the same order pump() uses, so the
-  // deterministic report is bit-identical to the scalar plane.
-  struct CohortMember {
-    Slot* slot;
-    Session* session;
-    SessionHandle handle;
-    bool resume;          ///< this session's establishment path
-    unsigned hs_budget;   ///< its phase's handshake retry budget
-    std::uint32_t phase;  ///< scenario phase it arrived in (checkpointing:
-                          ///< restore re-derives its schedule from this)
-  };
-  const unsigned lanes = config_.batch_lanes;
-  const std::size_t cohort_cap =
-      std::max<std::size_t>(lanes, config_.record_batch);
-  std::vector<std::vector<CohortMember>> cohort_staging(lanes > 1 ? shards : 0);
-  std::atomic<std::uint64_t> batched_records{0};
-  std::atomic<std::uint64_t> batch_flushes{0};
-  auto run_cohort = [&establish, &finalize, lanes, &batched_records,
-                     &batch_flushes](std::vector<CohortMember>& members) {
-    crypto::BatchDispatcher dispatcher(lanes);
-    struct Active {
-      CohortMember m;
-      Session::Staged st;
-      bool finished = false;  ///< transaction complete, teardown pending
-      bool dead = false;      ///< aborted mid-stream
-    };
-    std::vector<Active> live;
-    live.reserve(members.size());
-    for (CohortMember& m : members) {
-      bool aborted;
-      try {
-        aborted = establish(m.session, m.resume, m.hs_budget);
-      } catch (...) {
-        m.session->abort();
-        aborted = true;
-      }
-      if (aborted) {
-        finalize(m.session, m.handle, m.slot, /*aborted=*/true);
-      } else {
-        live.push_back(Active{m, Session::Staged{}, false, false});
-      }
-    }
-    try {
-      while (!live.empty()) {
-        // Phase 1: stage every member's next seal, then run the encrypt
-        // passes in one batched flush.
-        for (Active& a : live) {
-          try {
-            if (!a.m.session->stage_seal(a.st, dispatcher)) a.finished = true;
-          } catch (...) {
-            a.m.session->abort();
-            a.dead = true;
-          }
-        }
-        dispatcher.flush();
-        // Phase 2: complete seals, tamper/account, stage the opens.
-        for (Active& a : live) {
-          if (a.finished || a.dead) continue;
-          try {
-            a.m.session->stage_open(a.st, dispatcher);
-          } catch (...) {
-            a.m.session->abort();
-            a.dead = true;
-          }
-        }
-        dispatcher.flush();
-        // Phase 3: verify; failures run the scalar repair ladder, which
-        // throws SessionError(kAborted) when exhausted — same as pump().
-        for (Active& a : live) {
-          if (a.finished || a.dead) continue;
-          try {
-            a.m.session->finish_staged(a.st);
-          } catch (...) {
-            a.m.session->abort();
-            a.dead = true;
-          }
-        }
-        // Retire finished and dead members; the rest stage another record.
-        std::size_t w = 0;
-        for (Active& a : live) {
-          if (a.finished) {
-            try {
-              a.m.session->teardown();
-              a.m.slot->completed = true;
-              finalize(a.m.session, a.m.handle, a.m.slot, /*aborted=*/false);
-            } catch (...) {
-              a.m.session->abort();
-              finalize(a.m.session, a.m.handle, a.m.slot, /*aborted=*/true);
-            }
-          } else if (a.dead) {
-            finalize(a.m.session, a.m.handle, a.m.slot, /*aborted=*/true);
-          } else {
-            live[w++] = std::move(a);
-          }
-        }
-        live.resize(w);
-      }
-    } catch (...) {
-      // A dispatcher-level failure (never expected for well-formed jobs):
-      // preserve the leak invariant — every admitted session finalizes.
-      for (Active& a : live) {
-        a.m.session->abort();
-        finalize(a.m.session, a.m.handle, a.m.slot, /*aborted=*/true);
-      }
-    }
-    batched_records.fetch_add(dispatcher.jobs_submitted(),
-                              std::memory_order_relaxed);
-    batch_flushes.fetch_add(dispatcher.flushes(), std::memory_order_relaxed);
-  };
-
-  // The scalar data plane as one reusable push — the classic per-session
-  // pump task.  Shared by the admission loop and the checkpoint-restore
-  // path so a re-admitted parked session runs byte-identical code.
-  auto push_scalar = [&sched, &establish, &finalize](
-                         unsigned shard, Slot* slot, Session* session,
-                         SessionHandle handle, bool resume, unsigned hs_budget,
-                         std::size_t batch) {
+  // The per-session pump task: establish, pump the record stream in
+  // quanta of `batch`, tear down, then finalize the slot and erase the
+  // session exactly once.  Shared by the admission loop and the
+  // checkpoint-restore path, so a re-admitted parked session runs the same
+  // code.  `table` is sharded and a shard's sessions are pumped FIFO on
+  // one worker (scheduler.h).
+  auto push_session = [&sched, &establish, &table](
+                          unsigned shard, Slot* slot, Session* session,
+                          SessionHandle handle, bool resume, unsigned hs_budget,
+                          std::size_t batch) {
     sched.push(shard, [slot, session, handle, batch, resume, hs_budget,
-                       &establish, &finalize] {
+                       &establish, &table] {
       bool aborted = false;
       try {
         aborted = establish(session, resume, hs_budget);
@@ -500,7 +367,14 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
         session->abort();
         aborted = true;
       }
-      finalize(session, handle, slot, aborted);
+      slot->wire_bytes = session->wire_bytes();
+      slot->records = session->records();
+      const std::uint32_t attempts = session->handshake_attempts();
+      slot->retries = session->retries() + (attempts > 0 ? attempts - 1 : 0);
+      slot->repairs = session->repairs();
+      slot->faults = session->faults_seen();
+      slot->aborted = aborted;
+      table.erase(handle);
     });
   };
 
@@ -531,39 +405,14 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
   auto quiesce_checkpoint = [&](double cp_time) {
     WSP_TRACE_SPAN("server", "checkpoint");
     // Quiesce: every pushed work item has executed (proven by the
-    // scheduler, not assumed).  The only live sessions left are
-    // staged-but-unflushed cohort members, all still kPending — the walk
-    // below verifies exactly that before anything is serialized.
+    // scheduler, not assumed), so every admitted session has finalized its
+    // slot and left the table.  Verified before anything is serialized.
     sched.quiesce();
-    std::unordered_map<const Slot*, const CohortMember*> parked;
-    for (const auto& staged : cohort_staging) {
-      for (const CohortMember& m : staged) parked.emplace(m.slot, &m);
-    }
-    std::size_t live = 0;
-    for (unsigned s = 0; s < shards; ++s) {
-      table.for_each_live(s, [&](SessionHandle, Session& session) {
-        ++live;
-        if (session.state() != SessionState::kPending) {
-          throw std::logic_error(
-              "server: quiesce barrier found a live session past kPending — "
-              "the data plane did not quiesce");
-        }
-      });
-    }
-    if (live != parked.size()) {
+    if (table.size() != 0) {
       throw std::logic_error(
-          "server: quiesce barrier live-session count disagrees with the "
-          "staged cohorts");
+          "server: quiesce barrier found " + std::to_string(table.size()) +
+          " live sessions — the data plane did not quiesce");
     }
-    for (const auto& [slot_ptr, m] : parked) {
-      (void)slot_ptr;
-      if (table.get(m->handle) != m->session) {
-        throw std::logic_error(
-            "server: staged cohort member's handle went stale before the "
-            "barrier");
-      }
-    }
-
     EngineCheckpoint cp;
     cp.seq = checkpoint_seq++;
     cp.virtual_now = cp_time;
@@ -591,28 +440,15 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
       CheckpointEntry e;
       e.event.id = slot.id;
       e.event.shard = slot.shard;
-      const auto it = parked.find(&slot);
-      if (it != parked.end()) {
-        const CohortMember& m = *it->second;
-        const SessionConfig& mc = m.session->config();
-        e.parked = true;
-        e.parked_info.phase = m.phase;
-        e.parked_info.cipher = mc.cipher;
-        e.parked_info.transaction_bytes = mc.transaction_bytes;
-        e.parked_info.session_seed = mc.seed;
-        e.parked_info.resume = m.resume;
-        e.parked_info.handle = m.handle.ref;
-      } else {
-        e.event.wire_bytes = slot.wire_bytes;
-        e.event.records = slot.records;
-        e.event.retries = slot.retries;
-        e.event.repairs = slot.repairs;
-        e.event.faults = slot.faults;
-        e.event.completed = slot.completed;
-        CheckpointShard& csh = cp.shards[slot.shard];
-        csh.events_digest =
-            (csh.events_digest ^ e.event.digest()) * 1099511628211ULL + 1;
-      }
+      e.event.wire_bytes = slot.wire_bytes;
+      e.event.records = slot.records;
+      e.event.retries = slot.retries;
+      e.event.repairs = slot.repairs;
+      e.event.faults = slot.faults;
+      e.event.completed = slot.completed;
+      CheckpointShard& csh = cp.shards[slot.shard];
+      csh.events_digest =
+          (csh.events_digest ^ e.event.digest()) * 1099511628211ULL + 1;
       cp.entries.push_back(std::move(e));
     }
     cp.generator = pre_draw;
@@ -621,8 +457,9 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
 
   // Checkpoint restore: re-arm the virtual queueing model, counters and
   // latency ledger; refill the slot ledger in arrival order (finalized
-  // outcomes verbatim, parked sessions re-admitted through the normal
-  // staging/pump machinery); rewind the generator to the pre-draw state.
+  // outcomes verbatim, parked sessions re-admitted onto the pump); rewind
+  // the generator to the pre-draw state.  Only traces recorded by the
+  // former batched record plane (lanes > 1) carry parked entries.
   // Structural mismatches throw std::logic_error — the typed-error
   // validation of untrusted traces lives in server/record.h's resume path,
   // which runs before this is reached.
@@ -689,23 +526,13 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
       cfg.faults =
           (phased ? phase_plans[p.phase] : plan).schedule_for(e.event.id);
       const SessionTable::Inserted ins = table.insert(cfg);
-      if (lanes > 1) {
-        // Parked members rejoin the staging area; the continued arrival
-        // stream tops the cohorts up and flushes them exactly like the
-        // original admission path (or the post-loop partial flush does).
-        cohort_staging[e.event.shard].push_back(
-            CohortMember{slot, ins.session, ins.handle, p.resume,
-                         pfc.handshake_retry_budget, p.phase});
-      } else {
-        // Resuming a lanes>1 checkpoint on the scalar plane: the parked
-        // session runs the classic pump.  The batch quantum is a host-side
-        // knob, so deciding it from the restored degrade flag is safe.
-        const std::size_t batch =
-            degraded ? std::max<std::size_t>(1, config_.record_batch / 2)
-                     : config_.record_batch;
-        push_scalar(e.event.shard, slot, ins.session, ins.handle, p.resume,
-                    pfc.handshake_retry_budget, batch);
-      }
+      // The batch quantum is a host-side knob, so deciding it from the
+      // restored degrade flag is safe.
+      const std::size_t batch =
+          degraded ? std::max<std::size_t>(1, config_.record_batch / 2)
+                   : config_.record_batch;
+      push_session(e.event.shard, slot, ins.session, ins.handle, p.resume,
+                   pfc.handshake_retry_budget, batch);
     }
     gen.restore(cp.generator);
     checkpoint_seq = cp.seq + 1;
@@ -822,21 +649,6 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
     WSP_TRACE_COUNTER("server", "live_sessions",
                       static_cast<double>(table.size()));
 
-    if (lanes > 1) {
-      // Batched plane: collect into the shard's cohort; a full cohort
-      // becomes one scheduler task draining all its members three-phase.
-      cohort_staging[shard].push_back(
-          CohortMember{slot, session, handle, resume,
-                       fc.handshake_retry_budget, arrival->phase});
-      if (cohort_staging[shard].size() >= cohort_cap) {
-        auto members = std::make_shared<std::vector<CohortMember>>(
-            std::move(cohort_staging[shard]));
-        cohort_staging[shard].clear();
-        sched.push(shard, [members, &run_cohort] { run_cohort(*members); });
-      }
-      continue;
-    }
-
     // Sessions admitted while degraded run at half the record batch: finer
     // quanta interleave shard work and cap how long one session can hold
     // the pump.  Decided here, on the virtual timeline, so it is
@@ -844,16 +656,8 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
     const std::size_t batch =
         degraded ? std::max<std::size_t>(1, config_.record_batch / 2)
                  : config_.record_batch;
-    push_scalar(shard, slot, session, handle, resume,
-                fc.handshake_retry_budget, batch);
-  }
-
-  // Flush the partial cohorts the arrival stream left behind.
-  for (unsigned s = 0; s < static_cast<unsigned>(cohort_staging.size()); ++s) {
-    if (cohort_staging[s].empty()) continue;
-    auto members = std::make_shared<std::vector<CohortMember>>(
-        std::move(cohort_staging[s]));
-    sched.push(s, [members, &run_cohort] { run_cohort(*members); });
+    push_session(shard, slot, session, handle, resume,
+                 fc.handshake_retry_budget, batch);
   }
 
   sched.drain();
@@ -928,9 +732,6 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
     rep.equivalent_speedup =
         rep.platform_cycles_base / rep.platform_cycles_optimized;
   }
-  rep.batched_records = batched_records.load(std::memory_order_relaxed);
-  rep.batch_flushes = batch_flushes.load(std::memory_order_relaxed);
-  rep.batch_lanes = config_.batch_lanes;
   rep.wall_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
           .count());

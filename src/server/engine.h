@@ -89,14 +89,6 @@ struct EngineConfig {
   /// Exit is at degrade_depth / 2 (hysteresis, so the mode cannot flap on
   /// every arrival).
   std::size_t degrade_depth = 0;
-  /// Lane width of the batched record data plane (1..8, validated).  At 1
-  /// (the default) every session runs the classic scalar pump.  Above 1,
-  /// each shard drains its sessions in cohorts: record seals and opens from
-  /// many sessions are staged onto one crypto::BatchDispatcher and executed
-  /// by the multi-buffer CBC kernels, `batch_lanes` records side by side.
-  /// A purely host-side knob: every deterministic RunReport field and the
-  /// replay event digests are bit-identical for any value (docs/server.md).
-  unsigned batch_lanes = 1;
   /// Fill RunReport.events with the per-session outcome stream (arrival
   /// order).  Off by default: the record/replay layer (server/record.h)
   /// turns it on; large-scale benches leave it off to avoid the per-session
@@ -104,9 +96,9 @@ struct EngineConfig {
   bool record_events = false;
   /// Virtual-cycle interval between quiesce-barrier checkpoints (0 = off,
   /// validated finite and >= 0).  At every multiple, before admitting the
-  /// arrival that crossed it, the engine drains the scheduler, parks
-  /// in-flight cohorts and hands a full EngineCheckpoint to
-  /// `checkpoint_sink`.  Barriers fire only when a sink is installed.
+  /// arrival that crossed it, the engine drains the scheduler and hands a
+  /// full EngineCheckpoint to `checkpoint_sink`.  Barriers fire only when
+  /// a sink is installed.
   /// Checkpoint content is deterministic (docs/recovery.md); the host-side
   /// cost is the drain, so pick intervals per run, not per arrival.
   double checkpoint_every = 0.0;
@@ -201,11 +193,6 @@ struct RunReport {
   std::uint64_t failed_tasks = 0;  ///< scheduler-contained raw task failures
   std::size_t peak_real_depth = 0;
   unsigned threads = 1;
-  /// Batched data-plane execution stats (host-side: which path the cipher
-  /// passes actually took; zero when batch_lanes == 1).
-  std::uint64_t batched_records = 0;  ///< cipher jobs run through dispatchers
-  std::uint64_t batch_flushes = 0;    ///< dispatcher flushes across cohorts
-  unsigned batch_lanes = 1;           ///< echo of EngineConfig.batch_lanes
 };
 
 class Engine {
@@ -227,7 +214,7 @@ class Engine {
   /// an earlier run of the SAME scenario under the SAME deterministic
   /// config) and continues the run from that barrier.  The resulting report
   /// is bit-identical to the uninterrupted run's on every deterministic
-  /// field, for any --threads / batch_lanes combination (docs/recovery.md).
+  /// field, for any --threads (docs/recovery.md).
   /// Structural checkpoint/scenario mismatches throw std::logic_error; use
   /// server/record.h's resume path for typed validation of untrusted
   /// traces.

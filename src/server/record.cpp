@@ -190,11 +190,6 @@ std::vector<std::uint8_t> encode_config(const EngineConfig& cfg) {
   put_varint(p, cfg.pricing == Pricing::kBase ? 0 : 1);
   put_varint(p, cfg.degrade_depth);
   put_fault_config(p, cfg.faults);
-  // Appended after v1's last field; decoders treat absence as 1 (scalar
-  // plane), so pre-existing records stay readable.  Recorded so a replay
-  // re-executes on the plane the original run used — the report must match
-  // either way, but faithful re-execution is the point of the record.
-  put_varint(p, cfg.batch_lanes);
   return p;
 }
 
@@ -208,7 +203,18 @@ EngineConfig decode_config(const std::vector<std::uint8_t>& payload) {
   cfg.pricing = c.varint() == 0 ? Pricing::kBase : Pricing::kOptimized;
   cfg.degrade_depth = static_cast<std::size_t>(c.varint());
   cfg.faults = get_fault_config(c);
-  if (!c.done()) cfg.batch_lanes = static_cast<unsigned>(c.varint());
+  if (!c.done()) {
+    // Legacy trailing field: the lane width (batch_lanes, 1..8) of the
+    // removed batched record plane.  Host-side only, so it is read, range
+    // checked and dropped; such traces replay on the one record path.
+    const std::size_t at = c.offset();
+    const std::uint64_t lanes = c.varint();
+    if (lanes == 0 || lanes > 8) {
+      throw ReplayError(ErrorKind::kMalformed, at,
+                        "legacy lane width " + std::to_string(lanes) +
+                            " outside [1, 8]");
+    }
+  }
   return cfg;
 }
 

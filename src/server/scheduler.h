@@ -6,10 +6,7 @@
 // executes in FIFO order on one worker — this is what lets the SessionTable
 // hand out unsynchronized Session pointers, and it keeps a session's record
 // sequence numbers consistent without per-record locks.  Different shards
-// pump concurrently on different workers.  The batched data plane leans on
-// the same guarantee: a cohort task (Engine, batch_lanes > 1) stages many
-// sessions of one shard onto a private crypto::BatchDispatcher, which is
-// safe precisely because no other task of that shard can run concurrently.
+// pump concurrently on different workers.
 //
 // The queue itself is a support::MpscRing (Vyukov bounded ring): push and
 // pop are wait-free single-CAS operations, so at million-session scale the

@@ -100,142 +100,62 @@ std::size_t Session::pump(std::size_t max_records) {
     const std::uint64_t record = records_;
     const bool poisoned = cfg_.faults.poisons(record);
     unsigned flips_left = poisoned ? 0 : cfg_.faults.flip_attempts(record);
-    // First attempt inline; the shared repair ladder takes over on failure.
-    auto wire = keys_->client_write.seal(payload);
-    const unsigned attempt =
-        tamper_wire(wire, record, poisoned, flips_left, /*attempt=*/0);
-    wire_bytes_ += wire.size();
-    moved += wire.size();
-    bool delivered = false;
-    try {
-      // Equality is the transfer check; repair must never silently
-      // accept bytes that differ from what the client sent.
-      delivered = keys_->client_write.open(wire) == payload;
-    } catch (const std::runtime_error&) {
-      delivered = false;  // MAC / padding / framing rejection
-    }
-    if (!delivered) {
-      moved += repair_transfer(payload, record, poisoned, flips_left, attempt,
-                               /*failures=*/1);
+    unsigned failures = 0;
+    bool rekeyed = false;
+    for (unsigned attempt = 0;; ++attempt) {
+      // Retransmissions re-seal the SAME payload: the application data is
+      // fixed; only the wire transfer repeats.
+      auto wire = keys_->client_write.seal(payload);
+      if (poisoned || flips_left > 0) {
+        // Flip a bit of the final wire byte.  The tail carries the MAC
+        // (stream ciphers) or the last CBC block (block ciphers), so the
+        // tamper is always detected — and for CBC it also desyncs the
+        // receiver's chaining state, which is what makes rekey() a genuine
+        // repair rather than a formality.
+        wire.back() ^= static_cast<std::uint8_t>(
+            1u << cfg_.faults.flip_bit(record, attempt));
+        if (flips_left > 0) --flips_left;
+        ++faults_seen_;
+        WSP_TRACE_INSTANT_V("server.fault", "wire_flip",
+                            static_cast<double>(record));
+      }
+      wire_bytes_ += wire.size();
+      moved += wire.size();
+      bool delivered = false;
+      try {
+        // Equality is the transfer check; repair must never silently
+        // accept bytes that differ from what the client sent.
+        delivered = keys_->client_write.open(wire) == payload;
+      } catch (const std::runtime_error&) {
+        delivered = false;  // MAC / padding / framing rejection
+      }
+      if (delivered) break;
+      // The repair ladder's decision for the failure just taken.
+      if (++failures <= cfg_.faults.record_retry_budget) {
+        ++retries_;
+        WSP_TRACE_INSTANT_V("server.fault", "record_retry",
+                            static_cast<double>(failures));
+      } else if (!rekeyed) {
+        // Retransmits alone did not verify: the channel state (CBC IVs,
+        // sequence numbers) desynced.  Re-derive both directions from the
+        // master secret and retransmit under fresh keys.
+        rekey();
+        ++repairs_;
+        ++retries_;
+        rekeyed = true;
+        failures = 0;
+        WSP_TRACE_INSTANT_V("server.fault", "rekey_repair",
+                            static_cast<double>(record));
+      } else {
+        abort();
+        throw SessionError(SessionErrorKind::kAborted, cfg_.id,
+                           "record " + std::to_string(record) +
+                               " unrecoverable after retry and rekey");
+      }
     }
     bytes_sent_ += payload_len;
     ++records_;
   }
-  return moved;
-}
-
-unsigned Session::tamper_wire(std::vector<std::uint8_t>& wire,
-                              std::uint64_t record, bool poisoned,
-                              unsigned& flips_left, unsigned attempt) {
-  if (poisoned || flips_left > 0) {
-    // Flip a bit of the final wire byte.  The tail carries the MAC
-    // (stream ciphers) or the last CBC block (block ciphers), so the
-    // tamper is always detected — and for CBC it also desyncs the
-    // receiver's chaining state, which is what makes rekey() a genuine
-    // repair rather than a formality.
-    wire.back() ^= static_cast<std::uint8_t>(
-        1u << cfg_.faults.flip_bit(record, attempt));
-    if (flips_left > 0) --flips_left;
-    ++faults_seen_;
-    WSP_TRACE_INSTANT_V("server.fault", "wire_flip",
-                        static_cast<double>(record));
-  }
-  return attempt + 1;
-}
-
-std::size_t Session::repair_transfer(const std::vector<std::uint8_t>& payload,
-                                     std::uint64_t record, bool poisoned,
-                                     unsigned flips_left, unsigned attempt,
-                                     unsigned failures) {
-  std::size_t moved = 0;
-  bool rekeyed = false;
-  for (;;) {
-    // Ladder decision for the failure we just took.
-    if (failures <= cfg_.faults.record_retry_budget) {
-      ++retries_;
-      WSP_TRACE_INSTANT_V("server.fault", "record_retry",
-                          static_cast<double>(failures));
-    } else if (!rekeyed) {
-      // Retransmits alone did not verify: the channel state (CBC IVs,
-      // sequence numbers) desynced.  Re-derive both directions from the
-      // master secret and retransmit under fresh keys.
-      rekey();
-      ++repairs_;
-      ++retries_;
-      rekeyed = true;
-      failures = 0;
-      WSP_TRACE_INSTANT_V("server.fault", "rekey_repair",
-                          static_cast<double>(record));
-    } else {
-      abort();
-      throw SessionError(SessionErrorKind::kAborted, cfg_.id,
-                         "record " + std::to_string(record) +
-                             " unrecoverable after retry and rekey");
-    }
-    // Retransmissions re-seal the SAME payload: the application data is
-    // fixed; only the wire transfer repeats.
-    auto wire = keys_->client_write.seal(payload);
-    attempt = tamper_wire(wire, record, poisoned, flips_left, attempt);
-    wire_bytes_ += wire.size();
-    moved += wire.size();
-    bool delivered = false;
-    try {
-      delivered = keys_->client_write.open(wire) == payload;
-    } catch (const std::runtime_error&) {
-      delivered = false;
-    }
-    if (delivered) return moved;
-    ++failures;
-  }
-}
-
-bool Session::stage_seal(Staged& st, crypto::BatchDispatcher& dispatcher) {
-  require(SessionState::kEstablished, "pump");
-  if (finished()) {
-    st.active = false;
-    return false;
-  }
-  st.payload_len =
-      std::min(cfg_.record_bytes, cfg_.transaction_bytes - bytes_sent_);
-  st.payload = rng_.bytes(st.payload_len);
-  st.record = records_;
-  st.poisoned = cfg_.faults.poisons(st.record);
-  st.flips_left = st.poisoned ? 0 : cfg_.faults.flip_attempts(st.record);
-  st.attempt = 0;
-  st.failures = 0;
-  st.moved = 0;
-  st.active = true;
-  st.seal = keys_->client_write.seal_submit(st.payload, dispatcher);
-  return true;
-}
-
-void Session::stage_open(Staged& st, crypto::BatchDispatcher& dispatcher) {
-  st.wire = keys_->client_write.seal_complete(std::move(st.seal));
-  st.attempt =
-      tamper_wire(st.wire, st.record, st.poisoned, st.flips_left, st.attempt);
-  wire_bytes_ += st.wire.size();
-  st.moved += st.wire.size();
-  st.open = keys_->client_write.open_submit(st.wire, dispatcher);
-}
-
-std::size_t Session::finish_staged(Staged& st) {
-  bool delivered = false;
-  try {
-    delivered = keys_->client_write.open_complete(std::move(st.open)) ==
-                st.payload;
-  } catch (const std::runtime_error&) {
-    delivered = false;  // MAC / padding / framing rejection
-  }
-  std::size_t moved = st.moved;
-  if (!delivered) {
-    // Same ladder, same counters, same Rng draws as the pump() path — the
-    // only difference is that attempt 0 ran through the batched kernels.
-    moved += repair_transfer(st.payload, st.record, st.poisoned, st.flips_left,
-                             st.attempt, /*failures=*/1);
-  }
-  bytes_sent_ += st.payload_len;
-  ++records_;
-  st.active = false;
   return moved;
 }
 

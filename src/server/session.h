@@ -39,10 +39,6 @@
 #include "server/faults.h"
 #include "ssl/ssl.h"
 
-namespace wsp::crypto {
-class BatchDispatcher;
-}
-
 namespace wsp::server {
 
 enum class SessionState { kPending, kEstablished, kClosed, kAborted };
@@ -65,12 +61,6 @@ class Session {
   std::uint64_t id() const { return cfg_.id; }
   ssl::Cipher cipher() const { return cfg_.cipher; }
   SessionState state() const { return state_; }
-
-  /// The admission-time configuration this session was built from.  A
-  /// kPending session is a pure function of it (key material is derived
-  /// from cfg.seed on establishment), which is what lets the checkpoint
-  /// layer serialize parked sessions as their configs (docs/recovery.md).
-  const SessionConfig& config() const { return cfg_; }
 
   /// Runs the real RSA key-exchange handshake against `server_key` and
   /// enters kEstablished.  Throws std::logic_error unless kPending.
@@ -101,50 +91,6 @@ class Session {
 
   /// True once the whole transaction payload has been transferred.
   bool finished() const { return bytes_sent_ >= cfg_.transaction_bytes; }
-
-  // -------------------------------------------------------------------------
-  // Staged (batched) record transfer: the three-phase form of one pump()
-  // record, used by the engine's per-shard cohorts so the cipher passes of
-  // many sessions run through one crypto::BatchDispatcher (docs/server.md).
-  //
-  //   stage_seal()  -> flush -> stage_open() -> flush -> finish_staged()
-  //
-  // The phases draw from the per-session Rng, consume fault-schedule
-  // entries and advance the accounting in exactly the order pump() does,
-  // so a run is bit-identical for any batch_lanes.  If the batched first
-  // attempt fails verification, finish_staged() falls back to the same
-  // scalar repair ladder pump() uses (retransmit -> rekey -> abort).
-  //
-  // The Staged block is deliberately NOT part of the Session object: it
-  // only exists while a cohort is in flight, and keeping it out of the hot
-  // block preserves the scale path's memory_per_session accounting.
-  struct Staged {
-    std::vector<std::uint8_t> payload;  ///< application bytes of this record
-    std::vector<std::uint8_t> wire;     ///< sealed record (possibly tampered)
-    ssl::SecureChannel::Pending seal, open;
-    std::uint64_t record = 0;
-    std::size_t payload_len = 0;
-    std::size_t moved = 0;  ///< wire bytes accounted to this record so far
-    unsigned flips_left = 0;
-    unsigned attempt = 0;
-    unsigned failures = 0;
-    bool poisoned = false;
-    bool active = false;
-  };
-
-  /// Phase 1: draws the next record's payload and submits its seal to the
-  /// dispatcher.  Returns false (staging nothing) when the transaction is
-  /// already finished.  Throws std::logic_error unless kEstablished.
-  bool stage_seal(Staged& st, crypto::BatchDispatcher& dispatcher);
-
-  /// Phase 2 (after a flush): completes the seal, applies any scheduled
-  /// wire tamper, accounts the wire bytes and submits the open.
-  void stage_open(Staged& st, crypto::BatchDispatcher& dispatcher);
-
-  /// Phase 3 (after a flush): verifies delivery; on failure runs the scalar
-  /// repair ladder.  Returns the wire bytes moved for this record.  Throws
-  /// SessionError(kAborted) when repair is exhausted, exactly like pump().
-  std::size_t finish_staged(Staged& st);
 
   /// Rederives fresh record keys from the handshake's master secret
   /// (kdf_ssl3 over new nonces) and swaps in new channels; the record
@@ -182,21 +128,6 @@ class Session {
 
  private:
   void require(SessionState expected, const char* op) const;
-
-  /// Applies the scheduled wire tamper (if any) for `record`/`attempt` to a
-  /// sealed record and returns the next attempt number.
-  unsigned tamper_wire(std::vector<std::uint8_t>& wire, std::uint64_t record,
-                       bool poisoned, unsigned& flips_left, unsigned attempt);
-
-  /// Continues one record's transfer after `failures` failed attempts:
-  /// the ladder decision (retransmit / rekey / abort) followed by scalar
-  /// re-seal + re-open, looping until delivery.  Shared by pump() and
-  /// finish_staged() so both paths burn identical counters, Rng draws and
-  /// fault-schedule entries.  Returns the wire bytes it moved.
-  std::size_t repair_transfer(const std::vector<std::uint8_t>& payload,
-                              std::uint64_t record, bool poisoned,
-                              unsigned flips_left, unsigned attempt,
-                              unsigned failures);
 
   /// Derives a fresh {client_write, server_write} channel pair from
   /// `master` via fresh nonces + kdf_ssl3 (the SSLv3 key-block split).

@@ -171,21 +171,6 @@ class SessionTable {
   /// Removes and destroys the session; false when the id is unknown.
   bool erase(std::uint64_t id);
 
-  /// Walks one shard's live sessions straight from its slab arena, in slot
-  /// order, as fn(SessionHandle, Session&).  Takes the shard mutex for the
-  /// whole walk; fn must not call back into the table.  This is the quiesce
-  /// barrier's view of the data plane (docs/recovery.md): at a barrier every
-  /// live session must be a parked (kPending) cohort member, and the walk is
-  /// how the checkpoint layer proves it.
-  template <typename F>
-  void for_each_live(unsigned shard, F&& fn) {
-    Shard& sh = *shards_.at(shard);
-    std::lock_guard<std::mutex> lock(sh.mutex);
-    sh.slab.for_each([&](support::SlabRef ref, Session& session) {
-      fn(SessionHandle{session.id(), ref}, session);
-    });
-  }
-
   /// Live sessions right now (atomic counter — safe to sample anytime).
   std::size_t size() const { return size_.load(std::memory_order_relaxed); }
 

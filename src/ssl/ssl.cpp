@@ -5,7 +5,6 @@
 #include "support/trace.h"
 
 #include "crypto/aes.h"
-#include "crypto/batch.h"
 #include "crypto/ct.h"
 #include "crypto/des.h"
 #include "crypto/hmac.h"
@@ -56,9 +55,8 @@ struct SecureChannel::Impl {
   std::uint64_t seq_out = 0, seq_in = 0;
   std::unique_ptr<Rc4> rc4_enc, rc4_dec;  // stream state persists across records
 
-  // Key schedules, derived once per channel on first use and shared by the
-  // scalar seal()/open() path and the batched two-phase path (whose jobs
-  // point at them, hence the stable heap addresses).
+  // Key schedules, derived once per channel on first use (out of line, so
+  // a channel of another cipher does not carry them).
   std::unique_ptr<aes::KeySchedule> aes_ks_cache;
   std::unique_ptr<des::TripleKeySchedule> des3_ks_cache;
 
@@ -191,161 +189,6 @@ std::vector<std::uint8_t> SecureChannel::open(const std::vector<std::uint8_t>& r
   const std::vector<std::uint8_t> mac(plain.end() - Sha1::kDigestSize, plain.end());
   const auto expect = hmac_sha1(impl_->mac_key, impl_->mac_input(impl_->seq_in, payload));
   ++impl_->seq_in;
-  if (!ct::equal(mac, expect)) throw std::runtime_error("ssl: MAC verification failed");
-  return payload;
-}
-
-// ---------------------------------------------------------------------------
-// Two-phase (batched) record processing.
-
-struct SecureChannel::Pending::State {
-  std::shared_ptr<Impl> impl;
-  bool is_seal = false;
-  bool rc4_deferred = false;  // cipher pass runs at *_complete (stream state)
-  bool bad_length = false;    // open_complete throws "bad record length"
-  // Kernel buffers: `in` is the padded plaintext (seal) or the raw record
-  // (open); `out` receives the cipher pass.  Both must stay at a stable
-  // address until the dispatcher flushes, hence the heap-allocated State.
-  std::vector<std::uint8_t> in, out;
-};
-
-SecureChannel::Pending::Pending() = default;
-SecureChannel::Pending::Pending(Pending&&) noexcept = default;
-SecureChannel::Pending& SecureChannel::Pending::operator=(Pending&&) noexcept =
-    default;
-SecureChannel::Pending::~Pending() = default;
-
-SecureChannel::Pending SecureChannel::seal_submit(
-    const std::vector<std::uint8_t>& payload,
-    crypto::BatchDispatcher& dispatcher) {
-  WSP_TRACE_SPAN("ssl.record", "seal_submit");
-  Pending p;
-  p.state_ = std::make_unique<Pending::State>();
-  Pending::State& st = *p.state_;
-  st.impl = impl_;
-  st.is_seal = true;
-  // MAC and sequence consumption happen now, in scalar seal() order.
-  std::vector<std::uint8_t> plain = payload;
-  {
-    WSP_TRACE_SPAN("ssl.record", "seal/mac");
-    const auto mac =
-        hmac_sha1(impl_->mac_key, impl_->mac_input(impl_->seq_out, payload));
-    ++impl_->seq_out;
-    plain.insert(plain.end(), mac.begin(), mac.end());
-  }
-  switch (impl_->cipher) {
-    case Cipher::kTripleDesCbc: {
-      st.in = cbc_pad(std::move(plain), 8);
-      st.out.resize(st.in.size());
-      crypto::BatchJob job;
-      job.cipher = crypto::BatchCipher::kTripleDes;
-      job.dir = crypto::BatchDir::kEncrypt;
-      job.key = &impl_->cached_des3_ks();
-      job.in = st.in.data();
-      job.out = st.out.data();
-      job.bytes = st.in.size();
-      job.chain = impl_->iv_enc.data();
-      dispatcher.submit(job);
-      break;
-    }
-    case Cipher::kAes128Cbc: {
-      st.in = cbc_pad(std::move(plain), 16);
-      st.out.resize(st.in.size());
-      crypto::BatchJob job;
-      job.cipher = crypto::BatchCipher::kAes;
-      job.dir = crypto::BatchDir::kEncrypt;
-      job.key = &impl_->cached_aes_ks();
-      job.in = st.in.data();
-      job.out = st.out.data();
-      job.bytes = st.in.size();
-      job.chain = impl_->iv_enc.data();
-      dispatcher.submit(job);
-      break;
-    }
-    case Cipher::kRc4:
-      st.rc4_deferred = true;
-      st.in = std::move(plain);
-      break;
-  }
-  return p;
-}
-
-std::vector<std::uint8_t> SecureChannel::seal_complete(Pending pending) {
-  if (!pending.valid()) throw std::logic_error("ssl: seal_complete without submit");
-  Pending::State& st = *pending.state_;
-  if (!st.is_seal) throw std::logic_error("ssl: seal_complete on an open op");
-  if (st.rc4_deferred) {
-    Impl& impl = *st.impl;
-    if (!impl.rc4_enc) impl.rc4_enc = std::make_unique<Rc4>(impl.cipher_key);
-    return impl.rc4_enc->process(st.in);
-  }
-  return std::move(st.out);
-}
-
-SecureChannel::Pending SecureChannel::open_submit(
-    const std::vector<std::uint8_t>& record,
-    crypto::BatchDispatcher& dispatcher) {
-  WSP_TRACE_SPAN("ssl.record", "open_submit");
-  Pending p;
-  p.state_ = std::make_unique<Pending::State>();
-  Pending::State& st = *p.state_;
-  st.impl = impl_;
-  switch (impl_->cipher) {
-    case Cipher::kTripleDesCbc:
-    case Cipher::kAes128Cbc: {
-      const std::size_t block = impl_->cipher == Cipher::kAes128Cbc ? 16 : 8;
-      if (record.size() % block != 0) {
-        // Scalar open() throws before touching iv_dec or seq_in; defer the
-        // same error to open_complete with the same untouched state.
-        st.bad_length = true;
-        break;
-      }
-      if (record.empty()) break;  // cbc_unpad rejects it at complete time
-      st.in = record;
-      st.out.resize(record.size());
-      crypto::BatchJob job;
-      job.cipher = impl_->cipher == Cipher::kAes128Cbc
-                       ? crypto::BatchCipher::kAes
-                       : crypto::BatchCipher::kTripleDes;
-      job.dir = crypto::BatchDir::kDecrypt;
-      job.key = impl_->cipher == Cipher::kAes128Cbc
-                    ? static_cast<const void*>(&impl_->cached_aes_ks())
-                    : static_cast<const void*>(&impl_->cached_des3_ks());
-      job.in = st.in.data();
-      job.out = st.out.data();
-      job.bytes = st.in.size();
-      job.chain = impl_->iv_dec.data();
-      dispatcher.submit(job);
-      break;
-    }
-    case Cipher::kRc4:
-      st.rc4_deferred = true;
-      st.in = record;
-      break;
-  }
-  return p;
-}
-
-std::vector<std::uint8_t> SecureChannel::open_complete(Pending pending) {
-  if (!pending.valid()) throw std::logic_error("ssl: open_complete without submit");
-  Pending::State& st = *pending.state_;
-  if (st.is_seal) throw std::logic_error("ssl: open_complete on a seal op");
-  Impl& impl = *st.impl;
-  if (st.bad_length) throw std::runtime_error("ssl: bad record length");
-  std::vector<std::uint8_t> plain;
-  if (st.rc4_deferred) {
-    if (!impl.rc4_dec) impl.rc4_dec = std::make_unique<Rc4>(impl.cipher_key);
-    plain = impl.rc4_dec->process(st.in);
-  } else {
-    plain = cbc_unpad(std::move(st.out));
-  }
-  if (plain.size() < Sha1::kDigestSize) throw std::runtime_error("ssl: short record");
-  WSP_TRACE_SPAN("ssl.record", "open/mac");
-  const std::vector<std::uint8_t> payload(plain.begin(),
-                                          plain.end() - Sha1::kDigestSize);
-  const std::vector<std::uint8_t> mac(plain.end() - Sha1::kDigestSize, plain.end());
-  const auto expect = hmac_sha1(impl.mac_key, impl.mac_input(impl.seq_in, payload));
-  ++impl.seq_in;
   if (!ct::equal(mac, expect)) throw std::runtime_error("ssl: MAC verification failed");
   return payload;
 }

@@ -15,10 +15,6 @@
 #include "crypto/rsa.h"
 #include "support/random.h"
 
-namespace wsp::crypto {
-class BatchDispatcher;
-}
-
 namespace wsp::ssl {
 
 enum class Cipher { kTripleDesCbc, kAes128Cbc, kRc4 };
@@ -45,46 +41,6 @@ class SecureChannel {
 
   /// Decrypts and authenticates; throws std::runtime_error on tampering.
   std::vector<std::uint8_t> open(const std::vector<std::uint8_t>& record);
-
-  // -------------------------------------------------------------------------
-  // Two-phase record processing for the batched data plane (docs/server.md).
-  //
-  // seal_submit/open_submit run the cheap per-record work (MAC, padding,
-  // sequence numbers) immediately — in exactly the scalar seal()/open()
-  // order — and enqueue the CBC cipher pass on a crypto::BatchDispatcher so
-  // it can run lane-interleaved with other sessions' records.  The caller
-  // must flush() the dispatcher before calling the matching *_complete,
-  // and a channel may hold at most one pending operation per direction.
-  // Every error the scalar path throws (bad record length, bad padding,
-  // short record, MAC failure) is deferred to *_complete so the caller's
-  // exception handling is unchanged.  RC4 has per-channel stream state that
-  // cannot cross lanes; its cipher pass simply runs at *_complete time.
-  // Byte-for-byte equivalence with seal()/open() — including CBC residue
-  // chaining and sequence-number consumption on the error paths — is proven
-  // in tests/test_crypto_batch.cpp.
-
-  /// Move-only handle to one staged record operation.
-  class Pending {
-   public:
-    Pending();
-    Pending(Pending&&) noexcept;
-    Pending& operator=(Pending&&) noexcept;
-    ~Pending();
-    bool valid() const { return state_ != nullptr; }
-
-   private:
-    friend class SecureChannel;
-    struct State;
-    std::unique_ptr<State> state_;
-  };
-
-  Pending seal_submit(const std::vector<std::uint8_t>& payload,
-                      crypto::BatchDispatcher& dispatcher);
-  std::vector<std::uint8_t> seal_complete(Pending pending);
-
-  Pending open_submit(const std::vector<std::uint8_t>& record,
-                      crypto::BatchDispatcher& dispatcher);
-  std::vector<std::uint8_t> open_complete(Pending pending);
 
  private:
   struct Impl;

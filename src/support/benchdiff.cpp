@@ -25,10 +25,6 @@ const std::vector<ToleranceRule>& default_tolerance_table() {
       {"*/leaked", Direction::kExact, 0.0},
       {"*/faults_injected", Direction::kExact, 0.0},
       {"*/aborted", Direction::kExact, 0.0},
-      // The batched data plane may never change a deterministic metric
-      // across lane widths — the bench counts divergences and this must
-      // stay exactly zero.
-      {"*/lanes_mismatch", Direction::kExact, 0.0},
       // The .wsp compiler's legacy-equivalence gate (bench_report scenario
       // section): a compiled one-phase Fig. 8 program must reproduce the
       // flat code path bit for bit, so the mismatch count stays zero.
@@ -44,12 +40,6 @@ const std::vector<ToleranceRule>& default_tolerance_table() {
       // host-dependent (allocator, page size, what ran before), so it is
       // tracked but never gated.
       {"*/rss_mib", Direction::kInfo, 0.0},
-      // Measured host-side wall-time ratios of the lanes-8/-4 planes over
-      // the scalar plane: the one intentionally machine-dependent pair of
-      // gated metrics, hence the wide band.  They must not collapse — a
-      // batched plane that stops beating scalar by a clear margin is a
-      // regression in the multi-buffer kernels or the cohort staging.
-      {"batch/host_speedup*", Direction::kHigherBetter, 35.0},
       // The headline server metrics.
       {"*/throughput_per_gcycle", Direction::kHigherBetter, 5.0},
       // Structural bytes per live session (slab slot + cold block + index

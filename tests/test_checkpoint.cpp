@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "legacy_lanes8_trace.h"
 #include "server/checkpoint.h"
 #include "server/engine.h"
 #include "server/record.h"
@@ -37,13 +38,12 @@ server::TrafficScenario crash_mix(std::uint64_t seed, std::size_t sessions) {
   return s;
 }
 
-server::EngineConfig engine_cfg(unsigned threads, unsigned lanes = 1) {
+server::EngineConfig engine_cfg(unsigned threads) {
   server::EngineConfig cfg;
   cfg.threads = threads;
   cfg.shards = 4;
   cfg.queue_capacity = 32;
   cfg.record_batch = 4;
-  cfg.batch_lanes = lanes;
   cfg.record_events = true;
   return cfg;
 }
@@ -115,10 +115,9 @@ TEST(CheckpointGenerator, ClosedLoopPendingArrivalsSurviveSnapshot) {
 /// Runs the scenario with barriers armed and returns the captured
 /// checkpoints (at least one, asserted).
 std::vector<server::EngineCheckpoint> capture_checkpoints(
-    const server::TrafficScenario& scenario, unsigned threads, unsigned lanes,
-    double every) {
+    const server::TrafficScenario& scenario, unsigned threads, double every) {
   CollectSink sink;
-  server::EngineConfig cfg = engine_cfg(threads, lanes);
+  server::EngineConfig cfg = engine_cfg(threads);
   cfg.checkpoint_every = every;
   cfg.checkpoint_sink = &sink;
   server::Engine engine(cfg);
@@ -129,7 +128,7 @@ std::vector<server::EngineCheckpoint> capture_checkpoints(
 
 TEST(CheckpointCodec, EncodeDecodeIsIdentityOnRealCheckpoints) {
   const auto scenario = crash_mix(21, 32);
-  for (const auto& cp : capture_checkpoints(scenario, 2, 1, 2.0e7)) {
+  for (const auto& cp : capture_checkpoints(scenario, 2, 2.0e7)) {
     std::vector<std::uint8_t> payload;
     server::encode_checkpoint(payload, cp);
     const server::EngineCheckpoint back = server::decode_checkpoint(payload);
@@ -141,7 +140,7 @@ TEST(CheckpointCodec, EncodeDecodeIsIdentityOnRealCheckpoints) {
 
 TEST(CheckpointCodec, TruncatedPayloadThrowsTyped) {
   const auto scenario = crash_mix(22, 24);
-  const auto cps = capture_checkpoints(scenario, 1, 1, 3.0e7);
+  const auto cps = capture_checkpoints(scenario, 1, 3.0e7);
   std::vector<std::uint8_t> payload;
   server::encode_checkpoint(payload, cps.back());
   for (std::size_t cut : {std::size_t{0}, std::size_t{1}, payload.size() / 2,
@@ -157,12 +156,12 @@ TEST(CheckpointCodec, TruncatedPayloadThrowsTyped) {
 }
 
 TEST(CheckpointCodec, StaleSlabHandleGenerationIsMalformed) {
-  // Parked sessions only exist on the batched plane: lanes > 1 leaves
-  // staged-but-unflushed cohort members at the barrier.
-  const auto scenario = crash_mix(23, 48);
+  // Parked entries only exist in traces recorded with lanes > 1, hence the
+  // legacy fixture.
+  const auto scan = server::scan_trace_for_resume(testdata::kLegacyLanes8Trace);
   bool saw_parked = false;
-  for (auto cp : capture_checkpoints(scenario, 2, 8, 1.0e7)) {
-    for (auto& entry : cp.entries) {
+  for (const auto& cp : scan.checkpoints) {
+    for (const auto& entry : cp.entries) {
       if (!entry.parked) continue;
       saw_parked = true;
       // A live handle's generation is odd; an even one is a handle that was
@@ -182,13 +181,12 @@ TEST(CheckpointCodec, StaleSlabHandleGenerationIsMalformed) {
       break;
     }
   }
-  EXPECT_TRUE(saw_parked) << "no barrier caught a staged cohort; widen the "
-                             "scenario or shrink checkpoint_every";
+  EXPECT_TRUE(saw_parked) << "the legacy fixture carries no parked entries";
 }
 
 TEST(CheckpointCodec, TamperedShardDigestIsMalformed) {
   const auto scenario = crash_mix(24, 32);
-  auto cps = capture_checkpoints(scenario, 1, 1, 2.0e7);
+  auto cps = capture_checkpoints(scenario, 1, 2.0e7);
   server::EngineCheckpoint cp = cps.back();
   ASSERT_FALSE(cp.shards.empty());
   // Find a shard with finalized entries (nonzero digest chain) and lie
@@ -213,10 +211,10 @@ TEST(CheckpointCodec, TamperedShardDigestIsMalformed) {
 
 TEST(CheckpointQuiesce, ScalarPlaneParksNothing) {
   const auto scenario = crash_mix(31, 32);
-  for (const auto& cp : capture_checkpoints(scenario, 4, 1, 1.5e7)) {
+  for (const auto& cp : capture_checkpoints(scenario, 4, 1.5e7)) {
     for (const auto& entry : cp.entries) {
       EXPECT_FALSE(entry.parked)
-          << "lanes == 1 has no cohorts, so quiesce must fully finalize";
+          << "quiesce must finalize every admitted session";
     }
     EXPECT_EQ(cp.latencies.size(), cp.admitted());
   }
@@ -226,7 +224,7 @@ TEST(CheckpointQuiesce, CountsAndTimesAreCoherent) {
   const auto scenario = crash_mix(32, 48);
   double prev_now = -1.0;
   std::uint64_t seq = 0;
-  for (const auto& cp : capture_checkpoints(scenario, 2, 8, 1.0e7)) {
+  for (const auto& cp : capture_checkpoints(scenario, 2, 1.0e7)) {
     EXPECT_EQ(cp.seq, seq++);
     EXPECT_GT(cp.virtual_now, prev_now);
     prev_now = cp.virtual_now;
@@ -235,6 +233,33 @@ TEST(CheckpointQuiesce, CountsAndTimesAreCoherent) {
     std::uint64_t shard_admitted = 0;
     for (const auto& sh : cp.shards) shard_admitted += sh.admitted;
     EXPECT_EQ(shard_admitted, cp.admitted());
+  }
+}
+
+// --- legacy traces with parked entries -------------------------------------
+
+// The only traces whose checkpoints carry parked entries were recorded with
+// batch lanes > 1.  They must still scan, and resume must re-admit every
+// parked entry onto the pump and finish bit-identically to a fresh run of
+// the same scenario and config, at any thread count.
+TEST(CheckpointLegacy, Lanes8TraceResumesBitIdenticallyToAFreshRun) {
+  const auto scan = server::scan_trace_for_resume(testdata::kLegacyLanes8Trace);
+  EXPECT_FALSE(scan.complete);
+  ASSERT_EQ(scan.checkpoints.size(),
+            testdata::kLegacyLanes8CheckpointOffsets.size());
+  std::size_t parked = 0;
+  for (const auto& cp : scan.checkpoints) {
+    for (const auto& entry : cp.entries) parked += entry.parked ? 1 : 0;
+  }
+  EXPECT_GE(parked, 1u);
+
+  const auto fresh = server::Engine(testdata::legacy_lanes8_config())
+                         .run(testdata::legacy_lanes8_scenario());
+  for (unsigned threads : {1u, 4u}) {
+    const auto result = server::resume_run(scan, threads);
+    const auto mismatches = server::compare_reports(fresh, result.report);
+    EXPECT_TRUE(mismatches.empty())
+        << "threads=" << threads << ": " << mismatches.front();
   }
 }
 
@@ -267,7 +292,7 @@ TEST(CheckpointCrash, RestoreFromAnyBarrierMatchesUninterruptedRun) {
   const auto scenario = crash_mix(42, 40);
   const auto ref = server::Engine(engine_cfg(2)).run(scenario);
   const auto cps =
-      capture_checkpoints(scenario, 2, 1, ref.makespan_cycles / 5.0);
+      capture_checkpoints(scenario, 2, ref.makespan_cycles / 5.0);
   for (const auto& cp : cps) {
     server::Engine engine(engine_cfg(2));
     const auto resumed = engine.run(scenario, cp);
@@ -279,7 +304,7 @@ TEST(CheckpointCrash, RestoreFromAnyBarrierMatchesUninterruptedRun) {
 
 TEST(CheckpointCrash, RestoreRejectsWrongScenarioStructurally) {
   const auto scenario = crash_mix(43, 32);
-  const auto cps = capture_checkpoints(scenario, 1, 1, 2.0e7);
+  const auto cps = capture_checkpoints(scenario, 1, 2.0e7);
   auto other = crash_mix(43, 8);  // fewer sessions than the checkpoint offered
   server::Engine engine(engine_cfg(1));
   EXPECT_THROW((void)engine.run(other, cps.back()), std::logic_error);
@@ -322,10 +347,9 @@ struct TornTrace {
 };
 
 TornTrace record_torn_trace(const server::TrafficScenario& scenario,
-                            unsigned threads, unsigned lanes,
-                            double crash_frac = 0.6) {
+                            unsigned threads, double crash_frac = 0.6) {
   TornTrace out;
-  server::EngineConfig cfg = engine_cfg(threads, lanes);
+  server::EngineConfig cfg = engine_cfg(threads);
   out.reference = server::Engine(cfg).run(scenario);
 
   cfg.checkpoint_every = out.reference.makespan_cycles / 6.0;
@@ -346,7 +370,7 @@ TornTrace record_torn_trace(const server::TrafficScenario& scenario,
 
 TEST(CheckpointResume, TornTraceScansAndResumesBitIdentically) {
   const auto scenario = crash_mix(61, 40);
-  const TornTrace torn = record_torn_trace(scenario, 2, 1);
+  const TornTrace torn = record_torn_trace(scenario, 2);
 
   const auto scan = server::scan_trace_for_resume(torn.bytes);
   EXPECT_FALSE(scan.complete);
@@ -365,7 +389,7 @@ TEST(CheckpointResume, TornTraceScansAndResumesBitIdentically) {
 
 TEST(CheckpointResume, TruncationAtEveryCheckpointBoundaryStillResumes) {
   const auto scenario = crash_mix(62, 40);
-  const TornTrace torn = record_torn_trace(scenario, 1, 1);
+  const TornTrace torn = record_torn_trace(scenario, 1);
   ASSERT_GE(torn.offsets.size(), 2u);
 
   // Cutting at checkpoint k's first header byte leaves exactly k usable
@@ -385,7 +409,7 @@ TEST(CheckpointResume, TruncationAtEveryCheckpointBoundaryStillResumes) {
 
 TEST(CheckpointResume, MidChunkTearFallsBackToPreviousCheckpoint) {
   const auto scenario = crash_mix(63, 40);
-  const TornTrace torn = record_torn_trace(scenario, 2, 1);
+  const TornTrace torn = record_torn_trace(scenario, 2);
   ASSERT_GE(torn.offsets.size(), 2u);
 
   // Tear a few bytes into the LAST checkpoint chunk: the scan must stop at
@@ -420,7 +444,7 @@ TEST(CheckpointResume, CompleteTraceVerifiesAgainstItsOwnRecording) {
 
 TEST(CheckpointResume, InputDamageRethrowsScanDamageIsTyped) {
   const auto scenario = crash_mix(65, 24);
-  const TornTrace torn = record_torn_trace(scenario, 1, 1);
+  const TornTrace torn = record_torn_trace(scenario, 1);
 
   // Damage BEFORE the inputs complete: no run to resume, scan throws.
   std::vector<std::uint8_t> early(torn.bytes.begin(), torn.bytes.begin() + 12);

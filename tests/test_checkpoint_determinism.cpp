@@ -2,7 +2,7 @@
 // crash -> restore -> continue must produce a RunReport — every
 // deterministic scalar, latency quantile, per-shard events_digest and the
 // full event stream — bit-identical to the uninterrupted run, for every
-// --threads x batch_lanes pair, under benign and chaos fault mixes, and
+// --threads, under benign and chaos fault mixes, and
 // regardless of which thread count the torn trace was recorded at.  Also a
 // designated sanitizer workload: sanitize.sh runs this suite under ASan and
 // TSan (the quiesce barrier is a scheduler drain, so it races with the
@@ -42,14 +42,13 @@ server::FaultConfig chaos_faults() {
   return f;
 }
 
-server::EngineConfig base_cfg(unsigned threads, unsigned lanes,
+server::EngineConfig base_cfg(unsigned threads,
                               const server::FaultConfig& faults) {
   server::EngineConfig cfg;
   cfg.threads = threads;
   cfg.shards = 4;
   cfg.queue_capacity = 32;
   cfg.record_batch = 4;
-  cfg.batch_lanes = lanes;
   cfg.faults = faults;
   cfg.record_events = true;
   return cfg;
@@ -59,11 +58,11 @@ server::EngineConfig base_cfg(unsigned threads, unsigned lanes,
 /// returns the torn trace's bytes.  The reference (uninterrupted) report is
 /// returned through `ref`.
 std::vector<std::uint8_t> torn_trace(const server::TrafficScenario& scenario,
-                                     unsigned threads, unsigned lanes,
+                                     unsigned threads,
                                      const server::FaultConfig& faults,
                                      server::RunReport& ref,
                                      double crash_frac = 0.6) {
-  server::EngineConfig cfg = base_cfg(threads, lanes, faults);
+  server::EngineConfig cfg = base_cfg(threads, faults);
   ref = server::Engine(cfg).run(scenario);
 
   // A CrashFault fires at the first ARRIVAL past the deadline, so the
@@ -95,21 +94,18 @@ void expect_bit_identical(const server::RunReport& ref,
       << "resume broke the leak invariant";
 }
 
-// The tentpole acceptance bar: record + crash at 2 threads / 1 lane, then
-// resume the same torn trace at every {1, 2, 8} x {1, 8} pair.  All of them
-// must reproduce the uninterrupted reference bit for bit.  (batch_lanes
-// rides in the recorded config, so the lane sweep re-records per width.)
+// The tentpole acceptance bar: record + crash at 2 threads, then resume the
+// same torn trace at 1, 2 and 8 threads.  All of them must reproduce the
+// uninterrupted reference bit for bit.
 TEST(CheckpointDeterminism, ResumeIsThreadAndLaneInvariantBenign) {
   const auto scenario = storm_mix(8101, 48);
-  for (unsigned lanes : {1u, 8u}) {
-    server::RunReport ref;
-    const auto bytes = torn_trace(scenario, 2, lanes, {}, ref);
-    const auto scan = server::scan_trace_for_resume(bytes);
-    EXPECT_FALSE(scan.complete);
-    for (unsigned threads : {1u, 2u, 8u}) {
-      const auto result = server::resume_run(scan, threads);
-      expect_bit_identical(ref, result.report, "benign resume sweep");
-    }
+  server::RunReport ref;
+  const auto bytes = torn_trace(scenario, 2, {}, ref);
+  const auto scan = server::scan_trace_for_resume(bytes);
+  EXPECT_FALSE(scan.complete);
+  for (unsigned threads : {1u, 2u, 8u}) {
+    const auto result = server::resume_run(scan, threads);
+    expect_bit_identical(ref, result.report, "benign resume sweep");
   }
 }
 
@@ -120,15 +116,13 @@ TEST(CheckpointDeterminism, ResumeIsThreadAndLaneInvariantBenign) {
 TEST(CheckpointDeterminism, ResumeIsThreadAndLaneInvariantUnderChaos) {
   const auto scenario = storm_mix(8202, 48);
   const auto faults = chaos_faults();
-  for (unsigned lanes : {1u, 8u}) {
-    server::RunReport ref;
-    const auto bytes = torn_trace(scenario, 2, lanes, faults, ref);
-    EXPECT_GT(ref.faults_injected, 0u) << "chaos mix must inject faults";
-    const auto scan = server::scan_trace_for_resume(bytes);
-    for (unsigned threads : {1u, 2u, 8u}) {
-      const auto result = server::resume_run(scan, threads);
-      expect_bit_identical(ref, result.report, "chaos resume sweep");
-    }
+  server::RunReport ref;
+  const auto bytes = torn_trace(scenario, 2, faults, ref);
+  EXPECT_GT(ref.faults_injected, 0u) << "chaos mix must inject faults";
+  const auto scan = server::scan_trace_for_resume(bytes);
+  for (unsigned threads : {1u, 2u, 8u}) {
+    const auto result = server::resume_run(scan, threads);
+    expect_bit_identical(ref, result.report, "chaos resume sweep");
   }
 }
 
@@ -137,8 +131,8 @@ TEST(CheckpointDeterminism, ResumeIsThreadAndLaneInvariantUnderChaos) {
 TEST(CheckpointDeterminism, RecordingThreadCountIsImmaterial) {
   const auto scenario = storm_mix(8303, 40);
   server::RunReport ref1, ref8;
-  const auto t1 = torn_trace(scenario, 1, 1, chaos_faults(), ref1, 0.35);
-  const auto t8 = torn_trace(scenario, 8, 1, chaos_faults(), ref8, 0.35);
+  const auto t1 = torn_trace(scenario, 1, chaos_faults(), ref1, 0.35);
+  const auto t8 = torn_trace(scenario, 8, chaos_faults(), ref8, 0.35);
   expect_bit_identical(ref1, ref8, "references agree across recorders");
 
   const auto r1 = server::resume_run(server::scan_trace_for_resume(t1), 8);
@@ -151,7 +145,7 @@ TEST(CheckpointDeterminism, RecordingThreadCountIsImmaterial) {
 // of the torn trace (not just the last checkpoint) and compare.
 TEST(CheckpointDeterminism, EveryCheckpointPrefixResumesIdentically) {
   const auto scenario = storm_mix(8404, 40);
-  server::EngineConfig cfg = base_cfg(2, 1, chaos_faults());
+  server::EngineConfig cfg = base_cfg(2, chaos_faults());
   const auto ref = server::Engine(cfg).run(scenario);
 
   cfg.checkpoint_every = ref.makespan_cycles / 6.0;
@@ -182,7 +176,7 @@ TEST(CheckpointDeterminism, EveryCheckpointPrefixResumesIdentically) {
 TEST(CheckpointDeterminism, DegradeStateSurvivesRestore) {
   auto scenario = storm_mix(8505, 96);
   scenario.offered_load = 3.0;
-  server::EngineConfig cfg = base_cfg(2, 1, {});
+  server::EngineConfig cfg = base_cfg(2, {});
   cfg.queue_capacity = 8;
   cfg.degrade_depth = 12;
   const auto ref = server::Engine(cfg).run(scenario);

@@ -7,12 +7,12 @@
 #include <array>
 
 #include "crypto/aes.h"
-#include "crypto/batch.h"
 #include "crypto/des.h"
 #include "crypto/rc4.h"
 #include "crypto/rsa.h"
 #include "kernels/des_kernel.h"
 #include "kernels/modexp_kernel.h"
+#include "legacy_lanes8_trace.h"
 #include "mp/modexp.h"
 #include "mp/prime.h"
 #include "scenario/compile.h"
@@ -141,125 +141,6 @@ TEST(Fuzz, DesEcbCbcAndTripleDesRoundTrip) {
     EXPECT_EQ(des::decrypt_block_3des(des::encrypt_block_3des(block, ks3), ks3),
               block)
         << iter;
-  }
-}
-
-// Batched-kernel round-trip laws: what one path encrypts the OTHER path
-// must decrypt, in both orders, for every cipher the BatchDispatcher
-// serves.  Cross-path composition catches shared-bug symmetry (a kernel
-// that is its own inverse but disagrees with the scalar library).
-TEST(Fuzz, BatchEncryptScalarDecryptRoundTripAes) {
-  Rng rng(714);
-  for (int iter = 0; iter < 12; ++iter) {
-    const std::size_t klen = 8 * (2 + rng.below(3));  // 16/24/32
-    const auto ks = aes::key_schedule(rng.bytes(klen));
-    const auto data = rng.bytes(16 * (1 + rng.below(12)));
-    const auto ivb = rng.bytes(16);
-    std::array<std::uint8_t, 16> iv{};
-    std::copy(ivb.begin(), ivb.end(), iv.begin());
-
-    // Batched encrypt -> scalar decrypt.
-    std::vector<std::uint8_t> ct(data.size());
-    auto chain = ivb;
-    crypto::BatchDispatcher d(1 + static_cast<unsigned>(rng.below(8)));
-    d.submit({crypto::BatchCipher::kAes, crypto::BatchDir::kEncrypt, &ks,
-              data.data(), ct.data(), data.size(), chain.data()});
-    d.flush();
-    EXPECT_EQ(aes::decrypt_cbc(ct, ks, iv), data) << iter;
-
-    // Scalar encrypt -> batched decrypt.
-    const auto ct2 = aes::encrypt_cbc(data, ks, iv);
-    std::vector<std::uint8_t> back(data.size());
-    chain = ivb;
-    d.submit({crypto::BatchCipher::kAes, crypto::BatchDir::kDecrypt, &ks,
-              ct2.data(), back.data(), ct2.size(), chain.data()});
-    d.flush();
-    EXPECT_EQ(back, data) << iter;
-  }
-}
-
-TEST(Fuzz, BatchEncryptScalarDecryptRoundTripDes) {
-  Rng rng(715);
-  auto store_be64 = [](std::uint64_t v, std::uint8_t* out) {
-    for (int i = 0; i < 8; ++i) {
-      out[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
-    }
-  };
-  for (int iter = 0; iter < 12; ++iter) {
-    const auto ks = des::key_schedule(rng.next_u64());
-    const auto data = rng.bytes(8 * (1 + rng.below(16)));
-    const std::uint64_t iv = rng.next_u64();
-    std::array<std::uint8_t, 8> ivb{};
-    store_be64(iv, ivb.data());
-
-    std::vector<std::uint8_t> ct(data.size());
-    auto chain = ivb;
-    crypto::BatchDispatcher d(1 + static_cast<unsigned>(rng.below(8)));
-    d.submit({crypto::BatchCipher::kDes, crypto::BatchDir::kEncrypt, &ks,
-              data.data(), ct.data(), data.size(), chain.data()});
-    d.flush();
-    EXPECT_EQ(des::decrypt_cbc(ct, ks, iv), data) << iter;
-
-    const auto ct2 = des::encrypt_cbc(data, ks, iv);
-    std::vector<std::uint8_t> back(data.size());
-    chain = ivb;
-    d.submit({crypto::BatchCipher::kDes, crypto::BatchDir::kDecrypt, &ks,
-              ct2.data(), back.data(), ct2.size(), chain.data()});
-    d.flush();
-    EXPECT_EQ(back, data) << iter;
-  }
-}
-
-TEST(Fuzz, BatchEncryptScalarDecryptRoundTripTripleDes) {
-  // No scalar 3DES-CBC helper exists, so the scalar side is the manual
-  // CBC composition around encrypt/decrypt_block_3des — the same shape
-  // ssl.cpp uses, which is the composition the dispatcher must match.
-  Rng rng(716);
-  auto load_be64 = [](const std::uint8_t* in) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v = (v << 8) | in[i];
-    return v;
-  };
-  auto store_be64 = [](std::uint64_t v, std::uint8_t* out) {
-    for (int i = 0; i < 8; ++i) {
-      out[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
-    }
-  };
-  for (int iter = 0; iter < 12; ++iter) {
-    const auto ks3 = des::triple_key_schedule(rng.next_u64(), rng.next_u64(),
-                                              rng.next_u64());
-    const auto data = rng.bytes(8 * (1 + rng.below(16)));
-    const auto ivb = rng.bytes(8);
-
-    std::vector<std::uint8_t> ct(data.size());
-    auto chain = ivb;
-    crypto::BatchDispatcher d(1 + static_cast<unsigned>(rng.below(8)));
-    d.submit({crypto::BatchCipher::kTripleDes, crypto::BatchDir::kEncrypt,
-              &ks3, data.data(), ct.data(), data.size(), chain.data()});
-    d.flush();
-    // Scalar decrypt of the batched ciphertext.
-    std::vector<std::uint8_t> back(data.size());
-    std::uint64_t prev = load_be64(ivb.data());
-    for (std::size_t off = 0; off < ct.size(); off += 8) {
-      const std::uint64_t c = load_be64(ct.data() + off);
-      store_be64(des::decrypt_block_3des(c, ks3) ^ prev, back.data() + off);
-      prev = c;
-    }
-    EXPECT_EQ(back, data) << iter;
-
-    // Scalar encrypt, batched decrypt.
-    std::vector<std::uint8_t> ct2(data.size());
-    prev = load_be64(ivb.data());
-    for (std::size_t off = 0; off < data.size(); off += 8) {
-      prev = des::encrypt_block_3des(load_be64(data.data() + off) ^ prev, ks3);
-      store_be64(prev, ct2.data() + off);
-    }
-    std::vector<std::uint8_t> back2(data.size());
-    chain = ivb;
-    d.submit({crypto::BatchCipher::kTripleDes, crypto::BatchDir::kDecrypt,
-              &ks3, ct2.data(), back2.data(), ct2.size(), chain.data()});
-    d.flush();
-    EXPECT_EQ(back2, data) << iter;
   }
 }
 
@@ -457,6 +338,7 @@ TEST(Fuzz, ScenarioCompilerMutatedValidSource) {
 
 /// One small torn trace: a recorded run killed mid-stream, with its
 /// checkpoint-chunk boundaries and the uninterrupted reference report.
+/// The legacy lanes-8 fixture, so the checkpoints carry parked entries.
 struct FuzzTrace {
   std::vector<std::uint8_t> bytes;
   std::vector<std::size_t> offsets;
@@ -464,38 +346,10 @@ struct FuzzTrace {
 };
 
 const FuzzTrace& fuzz_trace() {
-  static const FuzzTrace trace = [] {
-    FuzzTrace t;
-    server::TrafficScenario s;
-    s.seed = 903;
-    s.sessions = 24;
-    s.model = server::ArrivalModel::kOpenLoop;
-    s.offered_load = 0.8;
-    s.ciphers = {ssl::Cipher::kRc4, ssl::Cipher::kAes128Cbc};
-    s.transaction_sizes = {512, 2048};
-    s.record_bytes = 512;
-    server::EngineConfig cfg;
-    cfg.threads = 1;
-    cfg.shards = 2;
-    cfg.queue_capacity = 32;
-    cfg.record_batch = 4;
-    cfg.batch_lanes = 8;  // staged cohorts -> parked sessions in checkpoints
-    cfg.record_events = true;
-    t.reference = server::Engine(cfg).run(s);
-
-    cfg.checkpoint_every = t.reference.makespan_cycles / 5.0;
-    cfg.faults.crash_at_cycles = t.reference.makespan_cycles * 0.7;
-    server::RunRecorder recorder(cfg, s);
-    server::Engine engine(recorder.engine_config());
-    try {
-      (void)engine.run(s);
-    } catch (const server::CrashFault&) {
-      recorder.crash();
-    }
-    t.bytes = recorder.bytes();
-    t.offsets = recorder.checkpoint_offsets();
-    return t;
-  }();
+  static const FuzzTrace trace{
+      testdata::kLegacyLanes8Trace, testdata::kLegacyLanes8CheckpointOffsets,
+      server::Engine(testdata::legacy_lanes8_config())
+          .run(testdata::legacy_lanes8_scenario())};
   return trace;
 }
 
@@ -604,7 +458,7 @@ TEST(Fuzz, StaleSlabHandlesInCheckpointsAreAlwaysTyped) {
       }
     }
   }
-  EXPECT_TRUE(saw_parked) << "fuzz trace captured no parked cohort members";
+  EXPECT_TRUE(saw_parked) << "fuzz trace carries no parked entries";
 }
 
 }  // namespace

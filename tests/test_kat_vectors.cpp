@@ -5,7 +5,7 @@
 //   * DES — FIPS-81 sample plus the classic NBS known-answer vectors,
 //     checked against the bit-level reference, the SP-table path, and both
 //     XR32 DES kernel forms; the SP 800-67 three-key 3DES example through
-//     the fused pass, the oracle composition and every lane position;
+//     the fused pass and the oracle composition;
 //   * SHA-1 — FIPS 180 examples (including the one-million-'a' vector),
 //     checked against the host implementation and the XR32 SHA-1 kernel;
 //   * MD5 — RFC 1321 Appendix A.5 test suite;
@@ -21,9 +21,7 @@
 #include <vector>
 
 #include "crypto/aes.h"
-#include "crypto/aes_mb.h"
 #include "crypto/des.h"
-#include "crypto/des_mb.h"
 #include "crypto/hmac.h"
 #include "crypto/md5.h"
 #include "crypto/sha1.h"
@@ -95,55 +93,6 @@ TEST(KatAes, Fips197IssKernelAllKeySizes) {
   }
 }
 
-// A single CBC block under an all-zero IV is exactly one ECB block, so the
-// published ECB vectors also pin the multi-buffer CBC kernels.  Each vector
-// is placed in EVERY lane position of a full 8-wide batch, with the other
-// seven lanes running decoy vectors (different keys — for AES different key
-// SIZES, which exercises the by-rounds partitioning) to prove no lane reads
-// a neighbor's key schedule or state.
-TEST(KatAes, Fips197MultiBufferEveryLanePosition) {
-  constexpr int kLanes = 8;
-  std::vector<aes::KeySchedule> schedules;
-  for (const AesVector& v : kAesVectors) {
-    schedules.push_back(aes::key_schedule(from_hex(v.key)));
-  }
-  const int n = static_cast<int>(std::size(kAesVectors));
-  for (int vi = 0; vi < n; ++vi) {
-    for (int pos = 0; pos < kLanes; ++pos) {
-      std::uint8_t in[kLanes][16], out[kLanes][16], chain[kLanes][16];
-      aes_mb::CbcLane lanes[kLanes];
-      const char* want_ct[kLanes];
-      const char* want_pt[kLanes];
-      for (int l = 0; l < kLanes; ++l) {
-        // The vector under test sits at `pos`; decoys cycle the others.
-        const int which = l == pos ? vi : (vi + 1 + l) % n;
-        const AesVector& v = kAesVectors[which];
-        const auto pt = from_hex(v.plaintext);
-        std::copy(pt.begin(), pt.end(), in[l]);
-        std::fill(chain[l], chain[l] + 16, 0);
-        lanes[l] = {&schedules[which], in[l], out[l], 1, chain[l]};
-        want_ct[l] = v.ciphertext;
-        want_pt[l] = v.plaintext;
-      }
-      aes_mb::encrypt_cbc(lanes, kLanes, kLanes);
-      for (int l = 0; l < kLanes; ++l) {
-        EXPECT_EQ(to_hex(out[l], 16), want_ct[l])
-            << "encrypt vector " << vi << " at lane " << pos << ", lane " << l;
-      }
-      // Decrypt direction: feed the ciphertexts back under fresh zero IVs.
-      for (int l = 0; l < kLanes; ++l) {
-        std::copy(out[l], out[l] + 16, in[l]);
-        std::fill(chain[l], chain[l] + 16, 0);
-      }
-      aes_mb::decrypt_cbc(lanes, kLanes, kLanes);
-      for (int l = 0; l < kLanes; ++l) {
-        EXPECT_EQ(to_hex(out[l], 16), want_pt[l])
-            << "decrypt vector " << vi << " at lane " << pos << ", lane " << l;
-      }
-    }
-  }
-}
-
 // --- DES (FIPS-81 / NBS known-answer vectors) ------------------------------
 
 struct DesVector {
@@ -203,102 +152,6 @@ TEST(KatDes, Sp80067ThreeKeyTripleDes) {
                   ks3.k3),
               kTdeaCipher[b])
         << b;
-  }
-}
-
-// The same vector through every des_mb lane position at every lane width:
-// with a zero IV, a one-block CBC lane is ECB.  Lane l of run `shift` holds
-// block (l + shift) % 3, so each block visits each lane position.
-TEST(KatDes, Sp80067ThreeKeyMultiBufferEveryLanePosition) {
-  constexpr int kLanes = 8;
-  const auto ks3 = des::triple_key_schedule(kTdeaKeys[0], kTdeaKeys[1], kTdeaKeys[2]);
-  for (const unsigned width : {1u, 2u, 4u, 8u}) {
-    for (int shift = 0; shift < 3; ++shift) {
-      std::uint8_t in[kLanes][8], out[kLanes][8], chain[kLanes][8];
-      des_mb::CbcLane lanes[kLanes];
-      for (int l = 0; l < kLanes; ++l) {
-        des::store_be64(kTdeaPlain[(l + shift) % 3], in[l]);
-        std::fill(chain[l], chain[l] + 8, 0);
-        lanes[l] = {nullptr, &ks3, in[l], out[l], 1, chain[l]};
-      }
-      des_mb::encrypt_cbc(lanes, kLanes, width);
-      for (int l = 0; l < kLanes; ++l) {
-        EXPECT_EQ(des::load_be64(out[l]), kTdeaCipher[(l + shift) % 3])
-            << "width " << width << " lane " << l;
-        std::copy(out[l], out[l] + 8, in[l]);
-        std::fill(chain[l], chain[l] + 8, 0);
-      }
-      des_mb::decrypt_cbc(lanes, kLanes, width);
-      for (int l = 0; l < kLanes; ++l) {
-        EXPECT_EQ(des::load_be64(out[l]), kTdeaPlain[(l + shift) % 3])
-            << "width " << width << " lane " << l;
-      }
-    }
-  }
-}
-
-// Same zero-IV single-block identity for the DES/3DES multi-buffer kernels:
-// every NBS vector in every lane position, decoy single-DES lanes on the
-// other vectors, plus one 3DES lane running the degenerate K1=K2=K3 FIPS-81
-// vector — which also proves single and triple lanes coexist in one batch.
-TEST(KatDes, Fips81MultiBufferEveryLanePosition) {
-  constexpr int kLanes = 8;
-  auto store_be64 = [](std::uint64_t v, std::uint8_t* out) {
-    for (int i = 0; i < 8; ++i) {
-      out[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
-    }
-  };
-  auto load_be64 = [](const std::uint8_t* in) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v = (v << 8) | in[i];
-    return v;
-  };
-  std::vector<des::KeySchedule> schedules;
-  for (const DesVector& v : kDesVectors) {
-    schedules.push_back(des::key_schedule(v.key));
-  }
-  const auto ks3 = des::triple_key_schedule(0x0123456789abcdefULL,
-                                            0x0123456789abcdefULL,
-                                            0x0123456789abcdefULL);
-  const int n = static_cast<int>(std::size(kDesVectors));
-  for (int vi = 0; vi < n; ++vi) {
-    for (int pos = 0; pos < kLanes; ++pos) {
-      std::uint8_t in[kLanes][8], out[kLanes][8], chain[kLanes][8];
-      des_mb::CbcLane lanes[kLanes];
-      std::uint64_t want_ct[kLanes], want_pt[kLanes];
-      const int triple_lane = (pos + 1) % kLanes;  // never the lane under test
-      for (int l = 0; l < kLanes; ++l) {
-        std::fill(chain[l], chain[l] + 8, 0);
-        if (l == triple_lane) {
-          // EDE with K1=K2=K3 degenerates to single DES (FIPS-81 sample).
-          store_be64(0x4e6f772069732074ULL, in[l]);
-          lanes[l] = {nullptr, &ks3, in[l], out[l], 1, chain[l]};
-          want_ct[l] = 0x3fa40e8a984d4815ULL;
-          want_pt[l] = 0x4e6f772069732074ULL;
-          continue;
-        }
-        const int which = l == pos ? vi : (vi + 1 + l) % n;
-        const DesVector& v = kDesVectors[which];
-        store_be64(v.plaintext, in[l]);
-        lanes[l] = {&schedules[which], nullptr, in[l], out[l], 1, chain[l]};
-        want_ct[l] = v.ciphertext;
-        want_pt[l] = v.plaintext;
-      }
-      des_mb::encrypt_cbc(lanes, kLanes, kLanes);
-      for (int l = 0; l < kLanes; ++l) {
-        EXPECT_EQ(load_be64(out[l]), want_ct[l])
-            << "encrypt vector " << vi << " at lane " << pos << ", lane " << l;
-      }
-      for (int l = 0; l < kLanes; ++l) {
-        std::copy(out[l], out[l] + 8, in[l]);
-        std::fill(chain[l], chain[l] + 8, 0);
-      }
-      des_mb::decrypt_cbc(lanes, kLanes, kLanes);
-      for (int l = 0; l < kLanes; ++l) {
-        EXPECT_EQ(load_be64(out[l]), want_pt[l])
-            << "decrypt vector " << vi << " at lane " << pos << ", lane " << l;
-      }
-    }
   }
 }
 

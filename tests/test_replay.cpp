@@ -404,6 +404,73 @@ TEST(ReplayRunRecord, PhaseWithUnknownCipherIdIsMalformed) {
   EXPECT_GT(typed_rejections, 0u);
 }
 
+// Traces recorded while the engine still had a batched record plane end
+// their kConfig payload with its lane width (1..8).  Re-frames `bytes` with
+// `tail` appended to that payload, as such a recorder wrote it.
+std::vector<std::uint8_t> with_config_tail(
+    const std::vector<std::uint8_t>& bytes,
+    const std::vector<std::uint8_t>& tail) {
+  ChunkReader reader(bytes);
+  VectorSink sink;
+  ChunkWriter writer(sink);
+  while (auto chunk = reader.next()) {
+    if (chunk->tag == static_cast<std::uint64_t>(server::RecordChunk::kConfig)) {
+      chunk->payload.insert(chunk->payload.end(), tail.begin(), tail.end());
+    }
+    writer.chunk(chunk->tag, chunk->payload);
+  }
+  writer.end();
+  return sink.take();
+}
+
+server::RunRecord small_recorded_run() {
+  server::TrafficScenario s;
+  s.seed = 555;
+  s.sessions = 24;
+  s.offered_load = 0.9;
+  s.ciphers = {ssl::Cipher::kAes128Cbc, ssl::Cipher::kTripleDesCbc};
+  s.transaction_sizes = {512, 2048};
+  s.record_bytes = 512;
+  server::EngineConfig cfg;
+  cfg.threads = 2;
+  cfg.shards = 4;
+  cfg.queue_capacity = 32;
+  cfg.record_batch = 4;
+  return server::record_run(cfg, s);
+}
+
+TEST(ReplayRunRecord, ConfigWithLegacyLaneWidthDecodesAndReplays) {
+  const auto bytes = server::encode_run_record(small_recorded_run());
+  const auto decoded = server::decode_run_record(with_config_tail(bytes, {8}));
+  // The field is read and dropped: re-encoding gives today's layout.
+  EXPECT_EQ(server::encode_run_record(decoded), bytes);
+  for (unsigned threads : {1u, 4u}) {
+    const auto result = server::replay_run(decoded, threads);
+    EXPECT_TRUE(result.ok()) << "threads=" << threads << ": "
+                             << result.mismatches.front();
+  }
+}
+
+TEST(ReplayRunRecord, ConfigWithLaneWidthOutOfRangeIsMalformed) {
+  const auto bytes = server::encode_run_record(small_recorded_run());
+  for (std::uint8_t lanes : {std::uint8_t{9}, std::uint8_t{0}}) {
+    try {
+      (void)server::decode_run_record(with_config_tail(bytes, {lanes}));
+      FAIL() << "lane width " << int{lanes} << " accepted";
+    } catch (const ReplayError& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kMalformed) << int{lanes};
+    }
+  }
+}
+
+TEST(ReplayRunRecord, ConfigWithoutLaneWidthDecodesAndReplays) {
+  const auto bytes = server::encode_run_record(small_recorded_run());
+  const auto decoded = server::decode_run_record(bytes);
+  EXPECT_EQ(server::encode_run_record(decoded), bytes);
+  const auto result = server::replay_run(decoded, 4);
+  EXPECT_TRUE(result.ok()) << result.mismatches.front();
+}
+
 TEST(ReplayRunRecord, FileRoundTrip) {
   server::RunRecord rec;
   rec.git_rev = "filetest";

@@ -1,7 +1,7 @@
 // Tier-2 determinism sweep for compiled .wsp traffic programs
 // (docs/scenarios.md §5): the full deterministic RunReport — counters,
 // latencies, per-shard event digests — must be bit-identical for any
-// (threads, batch_lanes) combination, and a run recorded at one thread
+// thread count, and a run recorded at one thread
 // count must replay bit-exactly at another with the scenario source intact.
 #include <gtest/gtest.h>
 
@@ -15,8 +15,7 @@ namespace {
 
 // Exercises every program feature at once: defaults inheritance, an
 // overload spike of resumed sessions, a closed-loop population, weighted
-// mixes and a fault overlay — CBC-heavy so batch_lanes > 1 actually engages
-// the multi-buffer plane.
+// mixes and a fault overlay, CBC-heavy.
 const char* kSweepWsp =
     "scenario \"sweep\" {\n"
     "  seed 4242\n"
@@ -35,28 +34,23 @@ const char* kSweepWsp =
     "                            handshake_retry_budget 2 } }\n"
     "}\n";
 
-server::RunReport run_with(const server::TrafficScenario& sc, unsigned threads,
-                           unsigned lanes) {
+server::RunReport run_with(const server::TrafficScenario& sc, unsigned threads) {
   server::EngineConfig cfg;
   cfg.threads = threads;
   cfg.shards = 4;
-  cfg.batch_lanes = lanes;
   server::Engine engine(cfg);
   return engine.run(sc);
 }
 
 TEST(ScenarioDeterminism, ReportBitIdenticalAcrossThreadsAndLanes) {
   const auto compiled = scenario::compile(kSweepWsp, "<sweep>");
-  const auto reference = run_with(compiled.scenario, 1, 1);
+  const auto reference = run_with(compiled.scenario, 1);
   EXPECT_EQ(reference.admitted, reference.completed + reference.aborted);
   EXPECT_GT(reference.faults_injected, 0u);
-  for (unsigned threads : {1u, 2u, 8u}) {
-    for (unsigned lanes : {1u, 8u}) {
-      if (threads == 1 && lanes == 1) continue;
-      const auto rep = run_with(compiled.scenario, threads, lanes);
-      EXPECT_TRUE(bench::reports_deterministically_equal(reference, rep))
-          << "threads=" << threads << " lanes=" << lanes;
-    }
+  for (unsigned threads : {2u, 8u}) {
+    const auto rep = run_with(compiled.scenario, threads);
+    EXPECT_TRUE(bench::reports_deterministically_equal(reference, rep))
+        << "threads=" << threads;
   }
 }
 

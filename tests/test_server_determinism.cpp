@@ -273,87 +273,35 @@ TEST(ServerChaosSoak, DegradeModeShedsAndRecovers) {
   expect_same_deterministic_metrics(rep, rep2, "degrade thread sweep");
 }
 
-// --- batched data plane (ISSUE 8) ------------------------------------------
-
-server::RunReport run_batched(unsigned threads, unsigned lanes,
-                              const server::TrafficScenario& scenario,
-                              const server::FaultConfig& faults = {},
-                              std::size_t queue_capacity = 32) {
-  server::EngineConfig cfg;
-  cfg.threads = threads;
-  cfg.shards = 4;
-  cfg.queue_capacity = queue_capacity;
-  cfg.record_batch = 4;
-  cfg.batch_lanes = lanes;
-  cfg.faults = faults;
-  return server::Engine(cfg).run(scenario);
-}
-
-// The batch acceptance bar (ISSUE 8): every deterministic RunReport field —
-// including the per-shard event digests expect_same_deterministic_metrics
-// now compares — is bit-identical across batch_lanes x threads.
+// CBC-heavy and three-cipher mixes.  The suite and test names date from the
+// batched record plane, whose lane width these tests also swept; with one
+// record path per cipher only the thread-count sweep remains.
 TEST(ServerBatchDeterminism, LanesAndThreadCountInvariant) {
   auto scenario = small_mix(31337, 32, 0.8);
-  // CBC-heavy mix so the batched kernels actually carry the records.
+  // CBC-only: every record runs through a 3DES or AES chain.
   scenario.ciphers = {ssl::Cipher::kTripleDesCbc, ssl::Cipher::kAes128Cbc};
-  const auto base = run_batched(1, 1, scenario);
+  const auto base = run_with_threads(1, scenario);
   EXPECT_EQ(base.completed, base.admitted);
   EXPECT_GT(base.completed, 0u);
-  EXPECT_EQ(base.batched_records, 0u) << "scalar plane must never dispatch";
-  for (unsigned lanes : {1u, 4u, 8u}) {
-    for (unsigned threads : {1u, 2u, 8u}) {
-      if (lanes == 1 && threads == 1) continue;
-      const auto rep = run_batched(threads, lanes, scenario);
-      expect_same_deterministic_metrics(base, rep, "lanes/threads sweep");
-    }
+  for (unsigned threads : {2u, 8u}) {
+    const auto rep = run_with_threads(threads, scenario);
+    expect_same_deterministic_metrics(base, rep, "CBC thread sweep");
   }
-  // ... and the batched plane must actually have run batched.
-  const auto b8 = run_batched(2, 8, scenario);
-  EXPECT_GT(b8.batched_records, 0u);
-  EXPECT_GT(b8.batch_flushes, 0u);
-  EXPECT_EQ(b8.batch_lanes, 8u);
 }
 
-// Same bar under the full chaos fault mix (wire flips force the batched
-// first attempt into the scalar repair ladder; RC4 exercises the deferred
-// stream-cipher leg of the cohort path).
+// Same bar under the full chaos fault mix, with all three record ciphers so
+// wire flips hit 3DES chains and the RC4 stream too.
 TEST(ServerBatchDeterminism, ChaosFaultsInvariantAcrossLanes) {
   auto scenario = small_mix(424242, 32, 0.8);
   scenario.ciphers = {ssl::Cipher::kTripleDesCbc, ssl::Cipher::kAes128Cbc,
                       ssl::Cipher::kRc4};
   const auto faults = chaos_faults(1.0);
-  const auto base = run_batched(1, 1, scenario, faults);
+  const auto base = run_chaos(1, scenario, faults);
   EXPECT_GT(base.faults_injected, 0u);
   EXPECT_EQ(base.completed + base.aborted, base.admitted) << "session leak";
-  for (unsigned lanes : {2u, 4u, 8u}) {
-    const auto rep = run_batched(4, lanes, scenario, faults);
-    expect_same_deterministic_metrics(base, rep, "chaos lanes sweep");
-  }
-}
-
-// A run recorded on the batched plane replays bit-exactly (the kConfig
-// chunk carries batch_lanes, so the replay re-executes batched too) at any
-// thread count.
-TEST(ServerBatchDeterminism, BatchedRecordReplayRoundTrip) {
-  auto scenario = small_mix(555, 24, 0.9);
-  scenario.ciphers = {ssl::Cipher::kAes128Cbc, ssl::Cipher::kTripleDesCbc};
-  server::EngineConfig cfg;
-  cfg.threads = 2;
-  cfg.shards = 4;
-  cfg.queue_capacity = 32;
-  cfg.record_batch = 4;
-  cfg.batch_lanes = 8;
-
-  const server::RunRecord rec = server::record_run(cfg, scenario);
-  const auto bytes = server::encode_run_record(rec);
-  const server::RunRecord decoded = server::decode_run_record(bytes);
-  EXPECT_EQ(decoded.config.batch_lanes, 8u);
-  for (unsigned threads : {1u, 4u}) {
-    const auto result = server::replay_run(decoded, threads);
-    EXPECT_TRUE(result.ok()) << "threads=" << threads << ": "
-                             << (result.mismatches.empty()
-                                     ? ""
-                                     : result.mismatches.front());
+  for (unsigned threads : {2u, 4u, 8u}) {
+    const auto rep = run_chaos(threads, scenario, faults);
+    expect_same_deterministic_metrics(base, rep, "chaos three-cipher sweep");
   }
 }
 

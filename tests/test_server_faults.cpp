@@ -143,16 +143,6 @@ TEST(EngineConfigValidation, RejectsDegenerateConfigs) {
   cfg = server::EngineConfig{};
   cfg.faults.handshake_failure_rate = 2.0;
   expect_invalid(cfg);
-  // batch_lanes must be a kernel-supported lane width: 1..8.
-  cfg = server::EngineConfig{};
-  cfg.batch_lanes = 0;
-  expect_invalid(cfg);
-  cfg = server::EngineConfig{};
-  cfg.batch_lanes = 9;
-  expect_invalid(cfg);
-  cfg = server::EngineConfig{};
-  cfg.batch_lanes = 8;
-  EXPECT_EQ(server::Engine(cfg).config().batch_lanes, 8u);
   // threads is host-dependent and stays clamped, not rejected.
   cfg = server::EngineConfig{};
   cfg.threads = 0;

@@ -105,6 +105,23 @@ TEST(SslChannel, RejectsKeyOrIvShorterThanTheCipherReads) {
   EXPECT_NO_THROW(ssl::SecureChannel(Cipher::kRc4, k16, mac, {}));
 }
 
+// A CBC record that is empty or not a whole number of blocks is rejected
+// before it touches the receive chain or the sequence number, so the next
+// genuine record still opens.
+TEST(SslChannel, MalformedCbcRecordLengthsLeaveTheChannelIntact) {
+  const std::vector<std::uint8_t> mac(20, 1);
+  for (Cipher cipher : {Cipher::kTripleDesCbc, Cipher::kAes128Cbc}) {
+    const ssl::CipherProfile prof = ssl::cipher_profile(cipher);
+    ssl::SecureChannel ch(cipher, std::vector<std::uint8_t>(prof.key_len, 2),
+                          mac, std::vector<std::uint8_t>(prof.iv_len, 3));
+    EXPECT_THROW(ch.open(std::vector<std::uint8_t>(13, 0xab)),
+                 std::runtime_error);
+    EXPECT_THROW(ch.open({}), std::runtime_error);
+    const std::vector<std::uint8_t> payload(80, 7);
+    EXPECT_EQ(ch.open(ch.seal(payload)), payload) << ssl::to_string(cipher);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Ciphers, SslCipherTest,
                          ::testing::Values(Cipher::kTripleDesCbc,
                                            Cipher::kAes128Cbc, Cipher::kRc4),

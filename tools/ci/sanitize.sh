@@ -13,9 +13,8 @@
 #      macro-model cost table and each use the per-thread mp workspaces.
 #   3. A 100k-session `scale` smoke under both sanitizer builds: the slab
 #      arena, lock-free MPSC rings and pump handoff at real volume.
-#   4. Batched data-plane smokes: the chaos scenario at --batch-lanes 8
-#      under both builds (multi-buffer kernels + cohort staging + repair
-#      fallback), plus the lanes-invariance tests in ServerBatchDeterminism.
+#   4. Chaos smokes: the full fault mix through the repair ladder under
+#      both builds (under ASan/UBSan also recorded and replayed).
 #   5. Scenario-compiler smokes: `wspc check` over every example .wsp file
 #      under ASan/UBSan, and the flash-crowd program executed end to end
 #      under both sanitizer builds (docs/scenarios.md).
@@ -46,13 +45,17 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}"
   # FIPS / SP 800-67 vectors (also in tier1; named here so the list of
   # UBSan-gated suites is explicit): table indices come from shifted 6- and
   # 8-bit fields, exactly where UBSan catches a bad shift.
-  ctest -R 'DesDiff|AesDiff|KatDes|KatAes|CryptoBatch' --output-on-failure
+  ctest -R 'DesDiff|AesDiff|KatDes|KatAes' --output-on-failure
+  # The legacy lanes-8 trace fixture (also in tier1): untrusted bytes
+  # through the checkpoint decoder, and parked entries re-admitted on
+  # resume.
+  ctest -R 'CheckpointLegacy' --output-on-failure
   ctest -R 'Trace|TraceJson|Json\.|BenchFlags|BenchJson|BenchServerSchema|BenchGate' \
         --output-on-failure
   ctest -R 'ServerDeterminism|ServerSoak|ServerChaos|ServerBatch|TamperRecovery' \
         --output-on-failure
   # Crash-fault tolerance: the crash -> restore -> continue determinism
-  # sweep across threads x lanes, benign and chaos (docs/recovery.md).
+  # sweep across thread counts, benign and chaos (docs/recovery.md).
   ctest -R 'Checkpoint' --output-on-failure
   # Million-session data-plane primitives (slab arena, MPSC ring, sharded
   # table) plus the concurrent churn/ring soaks.
@@ -76,13 +79,6 @@ echo "sanitize.sh: chaos run replayed bit-exactly at a different --threads"
 "$BUILD_DIR"/bench/bench_server --scenario scale --threads 4 \
     --outdir "$BUILD_DIR" > /dev/null
 echo "sanitize.sh: 100k-session scale run clean under ASan/UBSan"
-
-# Batched-plane chaos smoke under ASan/UBSan: cohort staging, the
-# multi-buffer CBC kernels and the batched->scalar repair fallback, with
-# lane-crossing pointer bugs exactly what ASan would catch.
-"$BUILD_DIR"/bench/bench_server --scenario chaos --threads 4 --batch-lanes 8 \
-    --outdir "$BUILD_DIR" > /dev/null
-echo "sanitize.sh: chaos run at --batch-lanes 8 clean under ASan/UBSan"
 
 # Scenario-compiler smoke under ASan/UBSan: every example program must
 # compile cleanly, and the flash-crowd program runs end to end (multi-phase
@@ -147,12 +143,11 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
     --outdir "$TSAN_DIR" > /dev/null
 echo "sanitize.sh: 100k-session scale run clean under TSan"
 
-# Batched-plane chaos smoke under TSan: per-shard cohorts on concurrent
-# workers, each with a private dispatcher — the cross-thread surface is the
-# scheduler handoff plus the engine's batched_records accumulation.
-"$TSAN_DIR"/bench/bench_server --scenario chaos --threads 4 --batch-lanes 8 \
+# Chaos smoke under TSan: the repair ladder (retransmit, rekey, abort) on
+# 4 concurrent workers, gated on the session-leak invariant.
+"$TSAN_DIR"/bench/bench_server --scenario chaos --threads 4 \
     --outdir "$TSAN_DIR" > /dev/null
-echo "sanitize.sh: chaos run at --batch-lanes 8 clean under TSan"
+echo "sanitize.sh: chaos run clean under TSan"
 
 # Flash-crowd scenario smoke under TSan: three phases' worth of arrivals —
 # including the resumption surge — pushed through the sharded table and
@@ -163,7 +158,7 @@ echo "sanitize.sh: flash-crowd scenario clean under TSan"
 
 # Crash -> restore smoke under TSan: checkpoint at 1 thread, resume at 8 —
 # the quiesce barrier is a full scheduler drain racing the worker pool, and
-# the restore re-admits parked cohorts across 8 workers; then replay the
+# the resumed run continues on 8 workers; then replay the
 # torn trace's resume path through the standalone replay tool too.
 rc=0
 "$TSAN_DIR"/tools/wspc run "$SRC_DIR"/examples/scenarios/crash_storm.wsp \

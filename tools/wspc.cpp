@@ -8,7 +8,6 @@
 // `run` options:
 //   --threads N     worker threads (default 1)
 //   --shards N      service shards (default 4; shapes the virtual model)
-//   --lanes N       batch lanes 1..8 (default 1)
 //   --queue N       per-shard waiting room (default 64)
 //   --rsa BITS      server key size (default 512)
 //   --record FILE   write a wsp-replay-v1 recording with the source embedded
@@ -51,8 +50,8 @@ int usage() {
   std::fprintf(stderr,
                "usage: wspc check FILE...\n"
                "       wspc dump FILE\n"
-               "       wspc run FILE [--threads N] [--shards N] [--lanes N]\n"
-               "                     [--queue N] [--rsa BITS] [--record FILE]\n"
+               "       wspc run FILE [--threads N] [--shards N] [--queue N]\n"
+               "                     [--rsa BITS] [--record FILE]\n"
                "                     [--checkpoint-every CYCLES]\n"
                "                     [--resume-from TRACE]\n");
   return 2;
@@ -158,8 +157,6 @@ int cmd_run(const std::string& file, int argc, char** argv, int i) {
       cfg.threads = static_cast<unsigned>(std::strtoul(next("--threads"), nullptr, 10));
     } else if (arg == "--shards") {
       cfg.shards = static_cast<unsigned>(std::strtoul(next("--shards"), nullptr, 10));
-    } else if (arg == "--lanes") {
-      cfg.batch_lanes = static_cast<unsigned>(std::strtoul(next("--lanes"), nullptr, 10));
     } else if (arg == "--queue") {
       cfg.queue_capacity = std::strtoul(next("--queue"), nullptr, 10);
     } else if (arg == "--rsa") {
