@@ -380,6 +380,7 @@ bench::BenchResult run_server() {
     server::EngineConfig chaos = cfg;
     chaos.faults = bench::chaos_fault_config();
     chaos.degrade_depth = 12;
+    chaos.record_events = true;  // resume records events: compare them too
     const auto scenario = bench::chaos_scenario(77, 64);
     server::Engine ref_engine(chaos);
     const server::RunReport ref = ref_engine.run(scenario);
@@ -404,7 +405,7 @@ bench::BenchResult run_server() {
       const auto res = server::resume_run(scan, 8);
       resumed = res.report;
       resume_mismatch =
-          bench::reports_deterministically_equal(ref, res.report) ? 0.0 : 1.0;
+          server::compare_reports(ref, res.report).empty() ? 0.0 : 1.0;
       // Torn write: truncate into the last checkpoint chunk's header, so
       // the scan must reject it and fall back one checkpoint further.
       std::vector<std::uint8_t> torn(recorder.bytes());
@@ -414,7 +415,7 @@ bench::BenchResult run_server() {
       torn_mismatch =
           (!torn_scan.tear.empty() &&
            torn_scan.checkpoints.size() + 1 == recorder.checkpoints() &&
-           bench::reports_deterministically_equal(ref, torn_res.report))
+           server::compare_reports(ref, torn_res.report).empty())
               ? 0.0
               : 1.0;
     }
@@ -466,7 +467,7 @@ bench::BenchResult run_scenario_section() {
     const auto flat_rep = flat_engine.run(bench::steady_scenario(71, 64));
     bench::append_server_metrics(r, "fig8/", wsp_rep);
     r.cycles["fig8/equiv_mismatch"] =
-        bench::reports_deterministically_equal(wsp_rep, flat_rep) ? 0.0 : 1.0;
+        server::compare_reports(wsp_rep, flat_rep).empty() ? 0.0 : 1.0;
   }
   {
     // Multi-phase program under load: calm -> overload spike of resumed

@@ -294,10 +294,12 @@ int main(int argc, char** argv) {
     // Crash-fault tolerance (docs/recovery.md): chaos traffic with periodic
     // quiesce-barrier checkpoints and a scheduled kill at 60% of the
     // reference makespan.  The torn trace is resumed at a different thread
-    // count; the hard gate is bit-identity with the uninterrupted run.
+    // count; the hard gate is bit-identity with the uninterrupted run,
+    // event stream included (resume always records events).
     server::EngineConfig ccfg = cfg;
     ccfg.faults = bench::chaos_fault_config();
     ccfg.degrade_depth = 3 * shards;
+    ccfg.record_events = true;
     const auto scenario = bench::chaos_scenario(seed + 6, sessions);
     server::Engine ref_engine(ccfg);
     const server::RunReport ref = ref_engine.run(scenario);
@@ -341,7 +343,7 @@ int main(int argc, char** argv) {
                      .c_str(),
                  res.report);
     const bool resume_ok =
-        bench::reports_deterministically_equal(ref, res.report);
+        server::compare_reports(ref, res.report).empty();
     // Torn write on top: tear into the last checkpoint chunk's header so
     // the scan must reject it and fall back one checkpoint.
     std::vector<std::uint8_t> torn(recorder.bytes());
@@ -351,7 +353,7 @@ int main(int argc, char** argv) {
     const bool torn_ok =
         !torn_scan.tear.empty() &&
         torn_scan.checkpoints.size() + 1 == recorder.checkpoints() &&
-        bench::reports_deterministically_equal(ref, torn_res.report);
+        server::compare_reports(ref, torn_res.report).empty();
     std::printf("  resume identical: %s; torn-tail fallback identical: %s\n",
                 resume_ok ? "yes" : "NO", torn_ok ? "yes" : "NO");
     bench::append_server_metrics(result, "crash/", res.report);

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench_util.h"
@@ -134,70 +135,27 @@ inline server::FaultConfig chaos_fault_config() {
 }
 
 /// Flattens the deterministic part of a RunReport into `r.cycles` under
-/// `prefix` ("steady/", "overload/", ...).  Host-dependent fields (wall
-/// time, backpressure waits, real queue peaks) are deliberately excluded:
-/// every metric written here must be byte-identical run-to-run and
-/// thread-count-to-thread-count.
+/// `prefix` ("steady/", "overload/", ...): every scalar of the report's
+/// field list (server/engine.h), keyed by its list name, plus the leak
+/// invariant.  Host-dependent fields (wall time, backpressure waits, real
+/// queue peaks) are not listed, so every metric written here is
+/// byte-identical run-to-run and thread-count-to-thread-count.
 inline void append_server_metrics(BenchResult& r, const std::string& prefix,
                                   const server::RunReport& rep) {
-  auto put = [&](const char* key, double value) {
-    r.cycles[prefix + key] = value;
-  };
-  put("offered", static_cast<double>(rep.offered));
-  put("admitted", static_cast<double>(rep.admitted));
-  put("completed", static_cast<double>(rep.completed));
-  put("dropped", static_cast<double>(rep.dropped));
-  put("records", static_cast<double>(rep.records));
-  put("wire_bytes", static_cast<double>(rep.wire_bytes));
-  put("bytes_digest", static_cast<double>(rep.bytes_digest));
-  put("latency_p50_cycles", rep.latency.p50);
-  put("latency_p90_cycles", rep.latency.p90);
-  put("latency_p99_cycles", rep.latency.p99);
-  put("latency_max_cycles", rep.latency.max);
-  put("makespan_cycles", rep.makespan_cycles);
-  put("throughput_per_gcycle", rep.throughput_per_gcycle);
-  put("queue_depth_peak", static_cast<double>(rep.peak_virtual_depth));
-  put("sessions_peak", static_cast<double>(rep.peak_sessions));
-  put("mean_service_cycles", rep.mean_service_cycles);
-  // Structural bytes per live session (slab slot + cold key block + index
-  // share) — a property of the build, so regressions here are layout
-  // regressions, not load artifacts.
-  put("memory_per_session", static_cast<double>(rep.memory_per_session));
-  put("platform_cycles_base", rep.platform_cycles_base);
-  put("platform_cycles_opt", rep.platform_cycles_optimized);
-  put("platform_equiv_speedup", rep.equivalent_speedup);
-  // Fault/recovery accounting (all zero on benign runs, deterministic on
-  // chaos runs — see docs/faults.md).
-  put("aborted", static_cast<double>(rep.aborted));
-  put("retried", static_cast<double>(rep.retried));
-  put("repaired", static_cast<double>(rep.repaired));
-  put("faults_injected", static_cast<double>(rep.faults_injected));
-  put("shed", static_cast<double>(rep.shed));
-  put("degrade_enters", static_cast<double>(rep.degrade_enters));
+  server::RunReport::for_each_field(
+      [&](const char* key, const auto& value) {
+        if constexpr (std::is_arithmetic_v<
+                          std::remove_cvref_t<decltype(value)>>) {
+          r.cycles[prefix + key] = static_cast<double>(value);
+        }
+      },
+      rep);
   // The leak invariant as a gated metric: admitted - completed - aborted
   // must be exactly 0, and the regression gate (docs/benchmarks.md) treats
   // any nonzero value — in any scenario — as a hard failure.
-  put("leaked", static_cast<double>(rep.admitted) -
-                    static_cast<double>(rep.completed) -
-                    static_cast<double>(rep.aborted));
-}
-
-/// True when two runs agree on every deterministic field the bench layer
-/// flattens, plus the per-shard replay event digests.  The crash and
-/// scenario-compiler gates: runs that must be the same run (resumed vs.
-/// uninterrupted, compiled vs. hand-built, any --threads) compare equal
-/// here, bit for bit.
-inline bool reports_deterministically_equal(const server::RunReport& a,
-                                            const server::RunReport& b) {
-  BenchResult ra, rb;
-  append_server_metrics(ra, "", a);
-  append_server_metrics(rb, "", b);
-  if (ra.cycles != rb.cycles) return false;
-  if (a.shards.size() != b.shards.size()) return false;
-  for (std::size_t i = 0; i < a.shards.size(); ++i) {
-    if (a.shards[i].events_digest != b.shards[i].events_digest) return false;
-  }
-  return true;
+  r.cycles[prefix + "leaked"] = static_cast<double>(rep.admitted) -
+                                static_cast<double>(rep.completed) -
+                                static_cast<double>(rep.aborted);
 }
 
 }  // namespace wsp::bench

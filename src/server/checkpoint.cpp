@@ -3,6 +3,8 @@
 #include <cmath>
 #include <string>
 
+#include "server/field_codec.h"
+
 namespace wsp::server {
 
 using replay::Cursor;
@@ -15,25 +17,13 @@ using replay::put_zigzag;
 namespace {
 
 [[noreturn]] void malformed(const Cursor& c, const std::string& detail) {
-  throw ReplayError(ErrorKind::kMalformed, c.offset(), detail);
-}
-
-bool get_flag(Cursor& c, const char* name) {
-  const std::uint64_t v = c.varint();
-  if (v > 1) malformed(c, std::string(name) + " flag must be 0 or 1");
-  return v != 0;
+  server::malformed(c.offset(), detail);
 }
 
 double get_finite(Cursor& c, const char* name) {
   const double v = c.f64();
   if (!std::isfinite(v)) malformed(c, std::string(name) + " is not finite");
   return v;
-}
-
-/// The ShardReport events-digest chain step (engine.cpp) — duplicated here
-/// because validation must recompute the chain without an engine run.
-std::uint64_t chain(std::uint64_t h, std::uint64_t event_digest) {
-  return (h ^ event_digest) * 1099511628211ULL + 1;
 }
 
 }  // namespace
@@ -81,12 +71,7 @@ void encode_checkpoint(std::vector<std::uint8_t>& out,
       put_varint(out, e.parked_info.handle.slot);
       put_varint(out, e.parked_info.handle.gen);
     } else {
-      put_varint(out, e.event.wire_bytes);
-      put_varint(out, e.event.records);
-      put_varint(out, e.event.retries);
-      put_varint(out, e.event.repairs);
-      put_varint(out, e.event.faults);
-      put_varint(out, e.event.completed ? 1 : 0);
+      SessionEvent::for_each_outcome_field(FieldWriter{out}, e.event);
     }
   }
 
@@ -164,10 +149,11 @@ EngineCheckpoint decode_checkpoint(const std::vector<std::uint8_t>& payload) {
     if (id < 0) malformed(c, "negative session id after delta decode");
     prev_id = id;
     e.event.id = static_cast<std::uint64_t>(id);
-    e.event.shard = static_cast<std::uint32_t>(c.varint());
-    if (e.event.shard >= cp.shards.size()) {
+    const std::uint64_t shard = c.varint();
+    if (shard >= cp.shards.size()) {
       malformed(c, "entry shard index out of range");
     }
+    e.event.shard = static_cast<std::uint32_t>(shard);
     e.parked = get_flag(c, "parked");
     if (e.parked) {
       e.parked_info.phase = static_cast<std::uint32_t>(c.varint());
@@ -194,12 +180,7 @@ EngineCheckpoint decode_checkpoint(const std::vector<std::uint8_t>& payload) {
                          " is stale (live handles are odd)");
       }
     } else {
-      e.event.wire_bytes = c.varint();
-      e.event.records = c.varint();
-      e.event.retries = static_cast<std::uint32_t>(c.varint());
-      e.event.repairs = static_cast<std::uint32_t>(c.varint());
-      e.event.faults = static_cast<std::uint32_t>(c.varint());
-      e.event.completed = get_flag(c, "completed");
+      SessionEvent::for_each_outcome_field(FieldReader{c}, e.event);
     }
     cp.entries.push_back(std::move(e));
   }
@@ -285,7 +266,8 @@ void validate_checkpoint(const EngineCheckpoint& cp) {
     }
     ++admitted[e.event.shard];
     if (!e.parked) {
-      digests[e.event.shard] = chain(digests[e.event.shard], e.event.digest());
+      std::uint64_t& chain = digests[e.event.shard];
+      chain = chain_events_digest(chain, e.event);
     }
   }
   for (std::size_t i = 0; i < cp.shards.size(); ++i) {

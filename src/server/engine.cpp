@@ -7,6 +7,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "server/checkpoint.h"
 #include "server/session_table.h"
@@ -119,14 +120,15 @@ double modeled_service(const ssl::PlatformCosts& price, std::size_t bytes,
 
 std::uint64_t SessionEvent::digest() const {
   Digest d;
-  d.mix(id);
-  d.mix(shard);
-  d.mix(wire_bytes);
-  d.mix(records);
-  d.mix(retries);
-  d.mix(repairs);
-  d.mix(faults);
-  d.mix(completed ? 1 : 0xAB);
+  for_each_field(
+      [&d](const char*, auto v) {
+        if constexpr (std::is_same_v<decltype(v), bool>) {
+          d.mix(v ? 1 : 0xAB);  // completed, or the aborted tag
+        } else {
+          d.mix(v);
+        }
+      },
+      *this);
   return d.h;
 }
 
@@ -288,20 +290,11 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
   };
   std::vector<VirtualShard> vq(shards);
 
-  // Each admitted session writes exactly one slot; slots are only read
-  // after drain().  deque: stable addresses under push_back.
-  struct Slot {
-    std::uint64_t id = 0;
-    unsigned shard = 0;
-    std::uint64_t wire_bytes = 0;
-    std::uint64_t records = 0;
-    std::uint32_t retries = 0;
-    std::uint32_t repairs = 0;
-    std::uint32_t faults = 0;
-    bool completed = false;
-    bool aborted = false;
-  };
-  std::deque<Slot> slots;
+  // Each admitted session's outcome, in arrival order.  Its pump task
+  // writes it exactly once, and it is read only after a drain; a session
+  // the task did not complete is aborted.  deque: stable addresses under
+  // push_back.
+  std::deque<SessionEvent> outcomes;
 
   std::vector<double> latencies;
   bool degraded = false;
@@ -341,39 +334,35 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
   };
 
   // The per-session pump task: establish, pump the record stream in
-  // quanta of `batch`, tear down, then finalize the slot and erase the
+  // quanta of `batch`, tear down, then finalize the outcome and erase the
   // session exactly once.  Shared by the admission loop and the
   // checkpoint-restore path, so a re-admitted parked session runs the same
   // code.  `table` is sharded and a shard's sessions are pumped FIFO on
   // one worker (scheduler.h).
   auto push_session = [&sched, &establish, &table](
-                          unsigned shard, Slot* slot, Session* session,
+                          unsigned shard, SessionEvent* out, Session* session,
                           SessionHandle handle, bool resume, unsigned hs_budget,
                           std::size_t batch) {
-    sched.push(shard, [slot, session, handle, batch, resume, hs_budget,
+    sched.push(shard, [out, session, handle, batch, resume, hs_budget,
                        &establish, &table] {
-      bool aborted = false;
       try {
-        aborted = establish(session, resume, hs_budget);
-        if (!aborted) {
+        if (!establish(session, resume, hs_budget)) {
           while (!session->finished()) session->pump(batch);
           session->teardown();
-          slot->completed = true;
+          out->completed = true;
         }
       } catch (...) {
         // SessionError(kAborted) from the exhausted repair ladder, or any
         // unexpected failure: the session is finished either way.  abort()
         // is idempotent and safe from every state but kClosed.
         session->abort();
-        aborted = true;
       }
-      slot->wire_bytes = session->wire_bytes();
-      slot->records = session->records();
+      out->wire_bytes = session->wire_bytes();
+      out->records = session->records();
       const std::uint32_t attempts = session->handshake_attempts();
-      slot->retries = session->retries() + (attempts > 0 ? attempts - 1 : 0);
-      slot->repairs = session->repairs();
-      slot->faults = session->faults_seen();
-      slot->aborted = aborted;
+      out->retries = session->retries() + (attempts > 0 ? attempts - 1 : 0);
+      out->repairs = session->repairs();
+      out->faults = session->faults_seen();
       table.erase(handle);
     });
   };
@@ -406,7 +395,7 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
     WSP_TRACE_SPAN("server", "checkpoint");
     // Quiesce: every pushed work item has executed (proven by the
     // scheduler, not assumed), so every admitted session has finalized its
-    // slot and left the table.  Verified before anything is serialized.
+    // outcome and left the table.  Verified before anything is serialized.
     sched.quiesce();
     if (table.size() != 0) {
       throw std::logic_error(
@@ -435,28 +424,18 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
       csh.peak_virtual_depth = rep.shards[s].peak_virtual_depth;
     }
     cp.latencies = latencies;
-    cp.entries.reserve(slots.size());
-    for (const Slot& slot : slots) {
-      CheckpointEntry e;
-      e.event.id = slot.id;
-      e.event.shard = slot.shard;
-      e.event.wire_bytes = slot.wire_bytes;
-      e.event.records = slot.records;
-      e.event.retries = slot.retries;
-      e.event.repairs = slot.repairs;
-      e.event.faults = slot.faults;
-      e.event.completed = slot.completed;
-      CheckpointShard& csh = cp.shards[slot.shard];
-      csh.events_digest =
-          (csh.events_digest ^ e.event.digest()) * 1099511628211ULL + 1;
-      cp.entries.push_back(std::move(e));
+    cp.entries.reserve(outcomes.size());
+    for (const SessionEvent& ev : outcomes) {
+      CheckpointShard& csh = cp.shards[ev.shard];
+      csh.events_digest = chain_events_digest(csh.events_digest, ev);
+      cp.entries.emplace_back().event = ev;
     }
     cp.generator = pre_draw;
     sink->on_checkpoint(cp);
   };
 
   // Checkpoint restore: re-arm the virtual queueing model, counters and
-  // latency ledger; refill the slot ledger in arrival order (finalized
+  // latency ledger; refill the outcome ledger in arrival order (finalized
   // outcomes verbatim, parked sessions re-admitted onto the pump); rewind
   // the generator to the pre-draw state.  Only traces recorded by the
   // former batched record plane (lanes > 1) carry parked entries.
@@ -498,19 +477,12 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
       if (e.event.shard != static_cast<std::uint32_t>(e.event.id % shards)) {
         bad("entry shard disagrees with its session id");
       }
-      slots.push_back(
-          Slot{e.event.id, e.event.shard, 0, 0, 0, 0, 0, false, false});
-      Slot* slot = &slots.back();
       if (!e.parked) {
-        slot->wire_bytes = e.event.wire_bytes;
-        slot->records = e.event.records;
-        slot->retries = e.event.retries;
-        slot->repairs = e.event.repairs;
-        slot->faults = e.event.faults;
-        slot->completed = e.event.completed;
-        slot->aborted = !e.event.completed;
+        outcomes.push_back(e.event);
         continue;
       }
+      SessionEvent* out = &outcomes.emplace_back(
+          SessionEvent{.id = e.event.id, .shard = e.event.shard});
       const ParkedSession& p = e.parked_info;
       if (phased && p.phase >= scenario.phases.size()) {
         bad("parked phase out of range");
@@ -531,7 +503,7 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
       const std::size_t batch =
           degraded ? std::max<std::size_t>(1, config_.record_batch / 2)
                    : config_.record_batch;
-      push_session(e.event.shard, slot, ins.session, ins.handle, p.resume,
+      push_session(e.event.shard, out, ins.session, ins.handle, p.resume,
                    pfc.handshake_retry_budget, batch);
     }
     gen.restore(cp.generator);
@@ -634,8 +606,8 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
     ++rep.shards[shard].admitted;
     gen.on_outcome(*arrival, completion, /*dropped=*/false);
 
-    slots.push_back(Slot{arrival->id, shard, 0, 0, 0, 0, 0, false, false});
-    Slot* slot = &slots.back();
+    SessionEvent* out = &outcomes.emplace_back(
+        SessionEvent{.id = arrival->id, .shard = shard});
     SessionConfig cfg;
     cfg.id = arrival->id;
     cfg.cipher = arrival->cipher;
@@ -656,58 +628,44 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
     const std::size_t batch =
         degraded ? std::max<std::size_t>(1, config_.record_batch / 2)
                  : config_.record_batch;
-    push_session(shard, slot, session, handle, resume,
+    push_session(shard, out, session, handle, resume,
                  fc.handshake_retry_budget, batch);
   }
 
   sched.drain();
 
+  // Tally in arrival order, so every digest and the event stream are
+  // thread-invariant.
   Digest digest;
-  if (config_.record_events) rep.events.reserve(slots.size());
-  for (const Slot& slot : slots) {
-    ShardReport& sh = rep.shards[slot.shard];
-    {
-      // Per-shard event-stream digest (and, when recording, the stream
-      // itself): slots are in arrival order, so both are thread-invariant.
-      SessionEvent ev;
-      ev.id = slot.id;
-      ev.shard = slot.shard;
-      ev.wire_bytes = slot.wire_bytes;
-      ev.records = slot.records;
-      ev.retries = slot.retries;
-      ev.repairs = slot.repairs;
-      ev.faults = slot.faults;
-      ev.completed = slot.completed;
-      sh.events_digest =
-          (sh.events_digest ^ ev.digest()) * 1099511628211ULL + 1;
-      if (config_.record_events) rep.events.push_back(ev);
-    }
-    rep.retried += slot.retries;
-    rep.repaired += slot.repairs;
-    rep.faults_injected += slot.faults;
-    sh.retried += slot.retries;
-    sh.repaired += slot.repairs;
-    sh.faults_injected += slot.faults;
-    rep.wire_bytes += slot.wire_bytes;
-    rep.records += slot.records;
-    sh.wire_bytes += slot.wire_bytes;
-    sh.records += slot.records;
-    if (slot.completed) {
+  for (const SessionEvent& ev : outcomes) {
+    ShardReport& sh = rep.shards[ev.shard];
+    sh.events_digest = chain_events_digest(sh.events_digest, ev);
+    rep.retried += ev.retries;
+    rep.repaired += ev.repairs;
+    rep.faults_injected += ev.faults;
+    sh.retried += ev.retries;
+    sh.repaired += ev.repairs;
+    sh.faults_injected += ev.faults;
+    rep.wire_bytes += ev.wire_bytes;
+    rep.records += ev.records;
+    sh.wire_bytes += ev.wire_bytes;
+    sh.records += ev.records;
+    digest.mix(ev.id);
+    digest.mix(ev.wire_bytes);
+    digest.mix(ev.records);
+    if (ev.completed) {
       ++rep.completed;
       ++sh.completed;
-      digest.mix(slot.id);
-      digest.mix(slot.wire_bytes);
-      digest.mix(slot.records);
     } else {
       // Anything not completed is aborted — the worker guarantees one of
       // the two — so completed + aborted == admitted (no leaked sessions).
       ++rep.aborted;
       ++sh.aborted;
-      digest.mix(slot.id);
-      digest.mix(slot.wire_bytes);
-      digest.mix(slot.records);
       digest.mix(0xAB);  // distinguish an aborted triple from a completed one
     }
+  }
+  if (config_.record_events) {
+    rep.events.assign(outcomes.begin(), outcomes.end());
   }
   rep.bytes_digest = digest.fold();
 

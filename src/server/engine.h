@@ -106,6 +106,21 @@ struct EngineConfig {
   /// server/record.h's RunRecorder is the standard sink, appending
   /// kCheckpoint chunks to the run's trace.
   CheckpointSink* checkpoint_sink = nullptr;
+
+  /// The fields a trace stores (RecordChunk::kConfig), in wire order.
+  /// threads, record_events and the checkpoint settings are host-side or
+  /// per-run and are not stored.  See SessionEvent::for_each_field for the
+  /// protocol.
+  template <class F, class... S>
+  static void for_each_field(F&& f, S&... s) {
+    f("shards", s.shards...);
+    f("queue_capacity", s.queue_capacity...);
+    f("record_batch", s.record_batch...);
+    f("rsa_bits", s.rsa_bits...);
+    f("pricing", s.pricing...);
+    f("degrade_depth", s.degrade_depth...);
+    f("faults", s.faults...);
+  }
 };
 
 /// One admitted session's deterministic outcome — the unit of the replay
@@ -124,7 +139,42 @@ struct SessionEvent {
   std::uint64_t digest() const;
 
   bool operator==(const SessionEvent&) const = default;
+
+  /// The field list (DESIGN.md §8).  Each run-state struct has exactly one:
+  /// it calls f(name, s.field...) for every field, in wire order, over any
+  /// number of objects of the struct — one to encode, decode or flatten
+  /// it, two to compare field by field.  The trace codecs
+  /// (server/field_codec.h), compare_reports and the bench metrics all walk
+  /// these lists, so a field added here reaches every one of them.
+  ///
+  /// SessionEvent's list is its key (id, shard) followed by the outcome a
+  /// session's pump task writes; the event and checkpoint codecs code the
+  /// key themselves (delta ids, range-checked shards) and the outcome from
+  /// for_each_outcome_field.
+  template <class F, class... S>
+  static void for_each_field(F&& f, S&... s) {
+    f("id", s.id...);
+    f("shard", s.shard...);
+    for_each_outcome_field(f, s...);
+  }
+  template <class F, class... S>
+  static void for_each_outcome_field(F&& f, S&... s) {
+    f("wire_bytes", s.wire_bytes...);
+    f("records", s.records...);
+    f("retries", s.retries...);
+    f("repairs", s.repairs...);
+    f("faults", s.faults...);
+    f("completed", s.completed...);
+  }
 };
+
+/// One step of the per-shard events-digest chain (ShardReport::
+/// events_digest): folds the next event into the running value.  The engine
+/// and the checkpoint validator share it.
+inline std::uint64_t chain_events_digest(std::uint64_t chain,
+                                         const SessionEvent& ev) {
+  return (chain ^ ev.digest()) * 1099511628211ULL + 1;
+}
 
 struct LatencyStats {
   double p50 = 0.0, p90 = 0.0, p99 = 0.0, max = 0.0;  ///< virtual cycles
@@ -145,6 +195,25 @@ struct ShardReport {
   /// one number that pins the shard's whole deterministic event stream
   /// (replay verification compares these before diving into events).
   std::uint64_t events_digest = 0;
+
+  bool operator==(const ShardReport&) const = default;
+
+  /// Wire order of the kReport per-shard entries; see
+  /// SessionEvent::for_each_field.
+  template <class F, class... S>
+  static void for_each_field(F&& f, S&... s) {
+    f("admitted", s.admitted...);
+    f("dropped", s.dropped...);
+    f("completed", s.completed...);
+    f("aborted", s.aborted...);
+    f("wire_bytes", s.wire_bytes...);
+    f("records", s.records...);
+    f("retried", s.retried...);
+    f("repaired", s.repaired...);
+    f("faults_injected", s.faults_injected...);
+    f("peak_virtual_depth", s.peak_virtual_depth...);
+    f("events_digest", s.events_digest...);
+  }
 };
 
 struct RunReport {
@@ -193,6 +262,45 @@ struct RunReport {
   std::uint64_t failed_tasks = 0;  ///< scheduler-contained raw task failures
   std::size_t peak_real_depth = 0;
   unsigned threads = 1;
+
+  /// The deterministic fields in kReport wire order, each named by its
+  /// bench key (BENCH_*.json `cycles`); see SessionEvent::for_each_field.
+  /// `events` has its own chunk and the host-dependent fields are not
+  /// listed.  The first kV1Fields entries are wsp-replay-v1's original
+  /// layout; a field added since is appended after them, and a decoder
+  /// leaves it at its default when an older trace ends before it.
+  template <class F, class... S>
+  static void for_each_field(F&& f, S&... s) {
+    f("offered", s.offered...);
+    f("admitted", s.admitted...);
+    f("completed", s.completed...);
+    f("dropped", s.dropped...);
+    f("aborted", s.aborted...);
+    f("retried", s.retried...);
+    f("repaired", s.repaired...);
+    f("faults_injected", s.faults_injected...);
+    f("shed", s.shed...);
+    f("degrade_enters", s.degrade_enters...);
+    f("records", s.records...);
+    f("wire_bytes", s.wire_bytes...);
+    f("bytes_digest", s.bytes_digest...);
+    f("latency_p50_cycles", s.latency.p50...);
+    f("latency_p90_cycles", s.latency.p90...);
+    f("latency_p99_cycles", s.latency.p99...);
+    f("latency_max_cycles", s.latency.max...);
+    f("makespan_cycles", s.makespan_cycles...);
+    f("throughput_per_gcycle", s.throughput_per_gcycle...);
+    f("queue_depth_peak", s.peak_virtual_depth...);
+    f("sessions_peak", s.peak_sessions...);
+    f("mean_service_cycles", s.mean_service_cycles...);
+    f("platform_cycles_base", s.platform_cycles_base...);
+    f("platform_cycles_opt", s.platform_cycles_optimized...);
+    f("platform_equiv_speedup", s.equivalent_speedup...);
+    f("shards", s.shards...);
+    // --- trailing fields (absent from records that predate them) ---
+    f("memory_per_session", s.memory_per_session...);
+  }
+  static constexpr std::size_t kV1Fields = 26;
 };
 
 class Engine {

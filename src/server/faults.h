@@ -108,6 +108,22 @@ struct FaultConfig {
   /// Throws std::invalid_argument on rates outside [0, 1] or non-positive
   /// stall/backoff cycles.
   void validate() const;
+
+  /// The stored fields in wire order (trace kConfig and per-phase fault
+  /// overlays); crash_at_cycles is never stored.  See
+  /// SessionEvent::for_each_field (engine.h) for the protocol.
+  template <class F, class... S>
+  static void for_each_field(F&& f, S&... s) {
+    f("wire_flip_rate", s.wire_flip_rate...);
+    f("handshake_failure_rate", s.handshake_failure_rate...);
+    f("abort_rate", s.abort_rate...);
+    f("stall_rate", s.stall_rate...);
+    f("stall_cycles", s.stall_cycles...);
+    f("record_retry_budget", s.record_retry_budget...);
+    f("handshake_retry_budget", s.handshake_retry_budget...);
+    f("backoff_base_cycles", s.backoff_base_cycles...);
+    f("backoff_cap_cycles", s.backoff_cap_cycles...);
+  }
 };
 
 /// One session's fault schedule — a pure function of (scenario seed,

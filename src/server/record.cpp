@@ -4,9 +4,13 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
+
+#include "server/field_codec.h"
 
 #ifndef WSP_GIT_REV
 #define WSP_GIT_REV "unknown"
@@ -26,34 +30,6 @@ using replay::put_zigzag;
 
 constexpr std::uint64_t tag(RecordChunk c) {
   return static_cast<std::uint64_t>(c);
-}
-
-// FaultConfig's nine fields, shared by the config chunk and per-phase fault
-// overlays.  Order is load-bearing: it IS the kConfig byte layout.
-void put_fault_config(std::vector<std::uint8_t>& p, const FaultConfig& f) {
-  put_double(p, f.wire_flip_rate);
-  put_double(p, f.handshake_failure_rate);
-  put_double(p, f.abort_rate);
-  put_double(p, f.stall_rate);
-  put_double(p, f.stall_cycles);
-  put_varint(p, f.record_retry_budget);
-  put_varint(p, f.handshake_retry_budget);
-  put_double(p, f.backoff_base_cycles);
-  put_double(p, f.backoff_cap_cycles);
-}
-
-FaultConfig get_fault_config(Cursor& c) {
-  FaultConfig f;
-  f.wire_flip_rate = c.f64();
-  f.handshake_failure_rate = c.f64();
-  f.abort_rate = c.f64();
-  f.stall_rate = c.f64();
-  f.stall_cycles = c.f64();
-  f.record_retry_budget = static_cast<unsigned>(c.varint());
-  f.handshake_retry_budget = static_cast<unsigned>(c.varint());
-  f.backoff_base_cycles = c.f64();
-  f.backoff_cap_cycles = c.f64();
-  return f;
 }
 
 std::vector<std::uint8_t> encode_scenario(const TrafficScenario& s) {
@@ -102,7 +78,7 @@ std::vector<std::uint8_t> encode_scenario(const TrafficScenario& s) {
       put_varint(p, m.weight);
     }
     put_varint(p, ph.faults ? 1 : 0);
-    if (ph.faults) put_fault_config(p, *ph.faults);
+    if (ph.faults) put_fields(p, *ph.faults);
   }
   return p;
 }
@@ -174,35 +150,17 @@ TrafficScenario decode_scenario(const std::vector<std::uint8_t>& payload) {
         m.weight = static_cast<std::uint32_t>(c.varint());
         ph.size_mix.push_back(m);
       }
-      if (c.varint() != 0) ph.faults = get_fault_config(c);
+      if (c.varint() != 0) get_fields(c, ph.faults.emplace());
       s.phases.push_back(std::move(ph));
     }
   }
   return s;
 }
 
-std::vector<std::uint8_t> encode_config(const EngineConfig& cfg) {
-  std::vector<std::uint8_t> p;
-  put_varint(p, cfg.shards);
-  put_varint(p, cfg.queue_capacity);
-  put_varint(p, cfg.record_batch);
-  put_varint(p, cfg.rsa_bits);
-  put_varint(p, cfg.pricing == Pricing::kBase ? 0 : 1);
-  put_varint(p, cfg.degrade_depth);
-  put_fault_config(p, cfg.faults);
-  return p;
-}
-
 EngineConfig decode_config(const std::vector<std::uint8_t>& payload) {
   Cursor c(payload);
   EngineConfig cfg;
-  cfg.shards = static_cast<unsigned>(c.varint());
-  cfg.queue_capacity = static_cast<std::size_t>(c.varint());
-  cfg.record_batch = static_cast<std::size_t>(c.varint());
-  cfg.rsa_bits = static_cast<std::size_t>(c.varint());
-  cfg.pricing = c.varint() == 0 ? Pricing::kBase : Pricing::kOptimized;
-  cfg.degrade_depth = static_cast<std::size_t>(c.varint());
-  cfg.faults = get_fault_config(c);
+  get_fields(c, cfg);
   if (!c.done()) {
     // Legacy trailing field: the lane width (batch_lanes, 1..8) of the
     // removed batched record plane.  Host-side only, so it is read, range
@@ -218,133 +176,15 @@ EngineConfig decode_config(const std::vector<std::uint8_t>& payload) {
   return cfg;
 }
 
-void put_costs(std::vector<std::uint8_t>& p, const ssl::PlatformCosts& c) {
-  put_double(p, c.rsa_private_cycles);
-  put_double(p, c.rsa_public_cycles);
-  put_double(p, c.symmetric_cycles_per_byte);
-  put_double(p, c.hash_cycles_per_byte);
-  put_double(p, c.handshake_misc_cycles);
-  put_double(p, c.misc_cycles_per_byte);
-}
-
-ssl::PlatformCosts get_costs(Cursor& c) {
-  ssl::PlatformCosts out;
-  out.rsa_private_cycles = c.f64();
-  out.rsa_public_cycles = c.f64();
-  out.symmetric_cycles_per_byte = c.f64();
-  out.hash_cycles_per_byte = c.f64();
-  out.handshake_misc_cycles = c.f64();
-  out.misc_cycles_per_byte = c.f64();
-  return out;
-}
-
-std::vector<std::uint8_t> encode_report(const RunReport& r) {
-  std::vector<std::uint8_t> p;
-  put_varint(p, r.offered);
-  put_varint(p, r.admitted);
-  put_varint(p, r.completed);
-  put_varint(p, r.dropped);
-  put_varint(p, r.aborted);
-  put_varint(p, r.retried);
-  put_varint(p, r.repaired);
-  put_varint(p, r.faults_injected);
-  put_varint(p, r.shed);
-  put_varint(p, r.degrade_enters);
-  put_varint(p, r.records);
-  put_varint(p, r.wire_bytes);
-  put_varint(p, r.bytes_digest);
-  put_double(p, r.latency.p50);
-  put_double(p, r.latency.p90);
-  put_double(p, r.latency.p99);
-  put_double(p, r.latency.max);
-  put_double(p, r.makespan_cycles);
-  put_double(p, r.throughput_per_gcycle);
-  put_varint(p, r.peak_virtual_depth);
-  put_varint(p, r.peak_sessions);
-  put_double(p, r.mean_service_cycles);
-  put_double(p, r.platform_cycles_base);
-  put_double(p, r.platform_cycles_optimized);
-  put_double(p, r.equivalent_speedup);
-  put_varint(p, r.shards.size());
-  for (const ShardReport& sh : r.shards) {
-    put_varint(p, sh.admitted);
-    put_varint(p, sh.dropped);
-    put_varint(p, sh.completed);
-    put_varint(p, sh.aborted);
-    put_varint(p, sh.wire_bytes);
-    put_varint(p, sh.records);
-    put_varint(p, sh.retried);
-    put_varint(p, sh.repaired);
-    put_varint(p, sh.faults_injected);
-    put_varint(p, sh.peak_virtual_depth);
-    put_varint(p, sh.events_digest);
-  }
-  // Appended after v1's last field (see encode_scenario note).
-  put_varint(p, r.memory_per_session);
-  return p;
-}
-
-RunReport decode_report(const std::vector<std::uint8_t>& payload) {
-  Cursor c(payload);
-  RunReport r;
-  r.offered = c.varint();
-  r.admitted = c.varint();
-  r.completed = c.varint();
-  r.dropped = c.varint();
-  r.aborted = c.varint();
-  r.retried = c.varint();
-  r.repaired = c.varint();
-  r.faults_injected = c.varint();
-  r.shed = c.varint();
-  r.degrade_enters = c.varint();
-  r.records = c.varint();
-  r.wire_bytes = c.varint();
-  r.bytes_digest = static_cast<std::uint32_t>(c.varint());
-  r.latency.p50 = c.f64();
-  r.latency.p90 = c.f64();
-  r.latency.p99 = c.f64();
-  r.latency.max = c.f64();
-  r.makespan_cycles = c.f64();
-  r.throughput_per_gcycle = c.f64();
-  r.peak_virtual_depth = static_cast<std::size_t>(c.varint());
-  r.peak_sessions = static_cast<std::size_t>(c.varint());
-  r.mean_service_cycles = c.f64();
-  r.platform_cycles_base = c.f64();
-  r.platform_cycles_optimized = c.f64();
-  r.equivalent_speedup = c.f64();
-  const std::uint64_t shards = c.varint();
-  r.shards.resize(static_cast<std::size_t>(shards));
-  for (ShardReport& sh : r.shards) {
-    sh.admitted = c.varint();
-    sh.dropped = c.varint();
-    sh.completed = c.varint();
-    sh.aborted = c.varint();
-    sh.wire_bytes = c.varint();
-    sh.records = c.varint();
-    sh.retried = c.varint();
-    sh.repaired = c.varint();
-    sh.faults_injected = c.varint();
-    sh.peak_virtual_depth = static_cast<std::size_t>(c.varint());
-    sh.events_digest = c.varint();
-  }
-  if (!c.done()) r.memory_per_session = c.varint();
-  return r;
-}
-
 std::vector<std::uint8_t> encode_events(const std::vector<SessionEvent>& evs) {
   std::vector<std::uint8_t> p;
   put_varint(p, evs.size());
-  std::int64_t prev_id = 0;
+  std::int64_t prev_id = 0;  // ids ascend in arrival order; delta-code them
   for (const SessionEvent& ev : evs) {
     put_zigzag(p, static_cast<std::int64_t>(ev.id) - prev_id);
     prev_id = static_cast<std::int64_t>(ev.id);
     put_varint(p, ev.shard);
-    put_varint(p, ev.wire_bytes);
-    put_varint(p, ev.records);
-    put_varint(p, ev.retries);
-    put_varint(p, ev.repairs);
-    put_varint(p, ev.faults);
-    put_varint(p, ev.completed ? 1 : 0);
+    SessionEvent::for_each_outcome_field(FieldWriter{p}, ev);
   }
   return p;
 }
@@ -353,25 +193,26 @@ std::vector<SessionEvent> decode_events(
     const std::vector<std::uint8_t>& payload) {
   Cursor c(payload);
   const std::uint64_t count = c.varint();
+  if (count > c.remaining()) {
+    // Every event takes at least eight bytes; a larger count is corrupt,
+    // and rejecting it keeps the reserve bounded by the input.
+    malformed(0, "event count " + std::to_string(count) + " exceeds the " +
+                     std::to_string(c.remaining()) + " bytes left");
+  }
   std::vector<SessionEvent> evs;
   evs.reserve(static_cast<std::size_t>(count));
   std::int64_t prev_id = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
-    SessionEvent ev;
+    SessionEvent& ev = evs.emplace_back();
     prev_id += c.zigzag();
     if (prev_id < 0) {
       throw ReplayError(ErrorKind::kMalformed, c.offset(),
                         "negative session id in event stream");
     }
     ev.id = static_cast<std::uint64_t>(prev_id);
-    ev.shard = static_cast<std::uint32_t>(c.varint());
-    ev.wire_bytes = c.varint();
-    ev.records = c.varint();
-    ev.retries = static_cast<std::uint32_t>(c.varint());
-    ev.repairs = static_cast<std::uint32_t>(c.varint());
-    ev.faults = static_cast<std::uint32_t>(c.varint());
-    ev.completed = c.varint() != 0;
-    evs.push_back(ev);
+    FieldReader read{c};
+    read("shard", ev.shard);
+    SessionEvent::for_each_outcome_field(read, ev);
   }
   return evs;
 }
@@ -395,22 +236,80 @@ void write_input_chunks(replay::ChunkWriter& writer, const RunRecord& record) {
     put_string(src, record.scenario_source);
     writer.chunk(tag(RecordChunk::kScenarioSource), src);
   }
-  writer.chunk(tag(RecordChunk::kConfig), encode_config(record.config));
+  {
+    std::vector<std::uint8_t> config;
+    put_fields(config, record.config);
+    writer.chunk(tag(RecordChunk::kConfig), config);
+  }
   {
     std::vector<std::uint8_t> costs;
-    put_costs(costs, calibrated_costs(Pricing::kBase));
-    put_costs(costs, calibrated_costs(Pricing::kOptimized));
+    put_fields(costs, calibrated_costs(Pricing::kBase));
+    put_fields(costs, calibrated_costs(Pricing::kOptimized));
     writer.chunk(tag(RecordChunk::kCosts), costs);
   }
 }
 
-bool costs_match(const ssl::PlatformCosts& a, const ssl::PlatformCosts& b) {
-  return a.rsa_private_cycles == b.rsa_private_cycles &&
-         a.rsa_public_cycles == b.rsa_public_cycles &&
-         a.symmetric_cycles_per_byte == b.symmetric_cycles_per_byte &&
-         a.hash_cycles_per_byte == b.hash_cycles_per_byte &&
-         a.handshake_misc_cycles == b.handshake_misc_cycles &&
-         a.misc_cycles_per_byte == b.misc_cycles_per_byte;
+/// The report and event chunks that complete a trace.
+void write_outcome_chunks(replay::ChunkWriter& writer,
+                          const RunReport& report) {
+  std::vector<std::uint8_t> p;
+  put_fields(p, report);
+  writer.chunk(tag(RecordChunk::kReport), p);
+  writer.chunk(tag(RecordChunk::kEvents), encode_events(report.events));
+}
+
+/// Which chunks a decode has seen, plus the recorded calibration.
+struct ChunksSeen {
+  bool meta = false, scenario = false, config = false, costs = false,
+       report = false, events = false;
+  ssl::PlatformCosts base, opt;
+
+  bool inputs() const { return meta && scenario && config && costs; }
+};
+
+/// Decodes every chunk but kCheckpoint into `rec` (decode_run_record and
+/// scan_trace_for_resume read them alike).  Unknown tags are skipped (the
+/// CRC already held): room for forward-compatible additions within the
+/// same format version.
+void decode_chunk(const replay::Chunk& chunk, RunRecord& rec,
+                  ChunksSeen& seen) {
+  Cursor c(chunk.payload);
+  switch (static_cast<RecordChunk>(chunk.tag)) {
+    case RecordChunk::kMeta:
+      rec.git_rev = c.str();
+      FieldReader{c}("recorded_threads", rec.recorded_threads);
+      seen.meta = true;
+      break;
+    case RecordChunk::kScenario:
+      rec.scenario = decode_scenario(chunk.payload);
+      seen.scenario = true;
+      break;
+    case RecordChunk::kScenarioSource:
+      rec.scenario_source = c.str();
+      break;
+    case RecordChunk::kConfig:
+      rec.config = decode_config(chunk.payload);
+      rec.config.threads = rec.recorded_threads;
+      rec.config.record_events = true;
+      seen.config = true;
+      break;
+    case RecordChunk::kCosts:
+      get_fields(c, seen.base);
+      get_fields(c, seen.opt);
+      seen.costs = true;
+      break;
+    case RecordChunk::kReport:
+      rec.report = RunReport{};
+      get_fields(c, rec.report);
+      seen.report = true;
+      break;
+    case RecordChunk::kEvents:
+      rec.report.events = decode_events(chunk.payload);
+      seen.events = true;
+      break;
+    default:
+      break;
+  }
 }
 
 /// The recorded calibration must match this binary's; a drifted cost model
@@ -418,8 +317,8 @@ bool costs_match(const ssl::PlatformCosts& a, const ssl::PlatformCosts& b) {
 void require_calibration(const ssl::PlatformCosts& rec_base,
                          const ssl::PlatformCosts& rec_opt,
                          const std::string& git_rev) {
-  if (!costs_match(rec_base, calibrated_costs(Pricing::kBase)) ||
-      !costs_match(rec_opt, calibrated_costs(Pricing::kOptimized))) {
+  if (rec_base != calibrated_costs(Pricing::kBase) ||
+      rec_opt != calibrated_costs(Pricing::kOptimized)) {
     throw ReplayError(ErrorKind::kMalformed, 0,
                       "recorded calibrated_costs differ from this binary's "
                       "(recorded at git_rev " + git_rev + ")");
@@ -451,8 +350,7 @@ std::vector<std::uint8_t> encode_run_record(const RunRecord& record) {
   replay::VectorSink sink;
   replay::ChunkWriter writer(sink);
   write_input_chunks(writer, record);
-  writer.chunk(tag(RecordChunk::kReport), encode_report(record.report));
-  writer.chunk(tag(RecordChunk::kEvents), encode_events(record.report.events));
+  write_outcome_chunks(writer, record.report);
   writer.end();
   return sink.take();
 }
@@ -460,64 +358,15 @@ std::vector<std::uint8_t> encode_run_record(const RunRecord& record) {
 RunRecord decode_run_record(const std::vector<std::uint8_t>& bytes) {
   replay::ChunkReader reader(bytes);
   RunRecord rec;
-  bool meta = false, scenario = false, config = false, costs = false,
-       report = false, events = false;
-  ssl::PlatformCosts rec_base, rec_opt;
-  while (auto chunk = reader.next()) {
-    switch (static_cast<RecordChunk>(chunk->tag)) {
-      case RecordChunk::kMeta: {
-        Cursor c(chunk->payload);
-        rec.git_rev = c.str();
-        rec.recorded_threads = static_cast<unsigned>(c.varint());
-        meta = true;
-        break;
-      }
-      case RecordChunk::kScenario:
-        rec.scenario = decode_scenario(chunk->payload);
-        scenario = true;
-        break;
-      case RecordChunk::kScenarioSource: {
-        Cursor c(chunk->payload);
-        rec.scenario_source = c.str();
-        break;
-      }
-      case RecordChunk::kConfig:
-        rec.config = decode_config(chunk->payload);
-        rec.config.threads = rec.recorded_threads;
-        rec.config.record_events = true;
-        config = true;
-        break;
-      case RecordChunk::kCosts: {
-        Cursor c(chunk->payload);
-        rec_base = get_costs(c);
-        rec_opt = get_costs(c);
-        costs = true;
-        break;
-      }
-      case RecordChunk::kReport:
-        rec.report = decode_report(chunk->payload);
-        report = true;
-        break;
-      case RecordChunk::kEvents:
-        rec.report.events = decode_events(chunk->payload);
-        events = true;
-        break;
-      case RecordChunk::kCheckpoint:
-        // Resume-only data (scan_trace_for_resume): a completed trace's
-        // checkpoints are dead weight for plain replay, which re-runs from
-        // the inputs anyway.
-        break;
-      default:
-        // Unknown chunk tags are skipped (CRC already validated): room for
-        // forward-compatible additions within the same format version.
-        break;
-    }
-  }
-  if (!meta || !scenario || !config || !costs || !report || !events) {
+  ChunksSeen seen;
+  // kCheckpoint chunks are resume-only data (scan_trace_for_resume): plain
+  // replay re-runs from the inputs, so decode_chunk passes over them.
+  while (auto chunk = reader.next()) decode_chunk(*chunk, rec, seen);
+  if (!seen.inputs() || !seen.report || !seen.events) {
     throw ReplayError(ErrorKind::kMalformed, bytes.size(),
                       "run record is missing a required chunk");
   }
-  require_calibration(rec_base, rec_opt, rec.git_rev);
+  require_calibration(seen.base, seen.opt, rec.git_rev);
   return rec;
 }
 
@@ -535,94 +384,60 @@ RunRecord read_run_record_file(const std::string& path) {
 
 namespace {
 
-void expect_u64(std::vector<std::string>& out, const char* field,
-                std::uint64_t expected, std::uint64_t actual) {
-  if (expected == actual) return;
-  out.push_back(std::string(field) + ": recorded " + std::to_string(expected) +
-                ", replayed " + std::to_string(actual));
-}
+/// Adds one "<prefix><name>: recorded X, replayed Y" line per field that
+/// differs between the two visited objects, descending into vectors of
+/// listed structs element by element.  Entries from `required` on are
+/// trailing fields: a recorded zero means the trace predates the field, so
+/// there is nothing to verify.
+struct FieldCompare {
+  std::vector<std::string>& out;
+  std::string prefix;
+  std::size_t required = std::numeric_limits<std::size_t>::max();
+  std::size_t index = 0;
 
-void expect_f64(std::vector<std::string>& out, const char* field,
-                double expected, double actual) {
-  if (expected == actual ||
-      (std::isnan(expected) && std::isnan(actual))) {
-    return;
+  template <class T>
+  void operator()(const char* name, const T& want, const T& got) {
+    const bool trailing = index++ >= required;
+    if constexpr (kListedVector<T>) {
+      scalar((std::string(name) + " count").c_str(), want.size(), got.size(),
+             false);
+      for (std::size_t i = 0; i < std::min(want.size(), got.size()); ++i) {
+        if (want[i] == got[i]) continue;
+        T::value_type::for_each_field(
+            FieldCompare{out, prefix + name + "[" + std::to_string(i) + "]."},
+            want[i], got[i]);
+      }
+    } else {
+      scalar(name, want, got, trailing);
+    }
   }
-  char buf[160];
-  std::snprintf(buf, sizeof buf, "%s: recorded %.17g, replayed %.17g", field,
-                expected, actual);
-  out.emplace_back(buf);
-}
+
+  template <class T>
+  void scalar(const char* name, T want, T got, bool trailing) {
+    if (want == got || (trailing && want == T{})) return;
+    if constexpr (std::is_same_v<T, double>) {
+      if (std::isnan(want) && std::isnan(got)) return;
+      char buf[96];
+      std::snprintf(buf, sizeof buf, ": recorded %.17g, replayed %.17g", want,
+                    got);
+      out.push_back(prefix + name + buf);
+    } else {
+      out.push_back(prefix + name + ": recorded " +
+                    std::to_string(static_cast<std::uint64_t>(want)) +
+                    ", replayed " +
+                    std::to_string(static_cast<std::uint64_t>(got)));
+    }
+  }
+};
 
 }  // namespace
 
 std::vector<std::string> compare_reports(const RunReport& want,
                                          const RunReport& got) {
   std::vector<std::string> mm;
-  expect_u64(mm, "offered", want.offered, got.offered);
-  expect_u64(mm, "admitted", want.admitted, got.admitted);
-  expect_u64(mm, "completed", want.completed, got.completed);
-  expect_u64(mm, "dropped", want.dropped, got.dropped);
-  expect_u64(mm, "aborted", want.aborted, got.aborted);
-  expect_u64(mm, "retried", want.retried, got.retried);
-  expect_u64(mm, "repaired", want.repaired, got.repaired);
-  expect_u64(mm, "faults_injected", want.faults_injected, got.faults_injected);
-  expect_u64(mm, "shed", want.shed, got.shed);
-  expect_u64(mm, "degrade_enters", want.degrade_enters, got.degrade_enters);
-  expect_u64(mm, "records", want.records, got.records);
-  expect_u64(mm, "wire_bytes", want.wire_bytes, got.wire_bytes);
-  expect_u64(mm, "bytes_digest", want.bytes_digest, got.bytes_digest);
-  expect_f64(mm, "latency.p50", want.latency.p50, got.latency.p50);
-  expect_f64(mm, "latency.p90", want.latency.p90, got.latency.p90);
-  expect_f64(mm, "latency.p99", want.latency.p99, got.latency.p99);
-  expect_f64(mm, "latency.max", want.latency.max, got.latency.max);
-  expect_f64(mm, "makespan_cycles", want.makespan_cycles, got.makespan_cycles);
-  expect_f64(mm, "throughput_per_gcycle", want.throughput_per_gcycle,
-             got.throughput_per_gcycle);
-  expect_u64(mm, "peak_virtual_depth", want.peak_virtual_depth,
-             got.peak_virtual_depth);
-  expect_u64(mm, "peak_sessions", want.peak_sessions, got.peak_sessions);
-  expect_f64(mm, "mean_service_cycles", want.mean_service_cycles,
-             got.mean_service_cycles);
-  expect_f64(mm, "platform_cycles_base", want.platform_cycles_base,
-             got.platform_cycles_base);
-  expect_f64(mm, "platform_cycles_optimized", want.platform_cycles_optimized,
-             got.platform_cycles_optimized);
-  expect_f64(mm, "equivalent_speedup", want.equivalent_speedup,
-             got.equivalent_speedup);
-  if (want.memory_per_session != 0) {
-    // Zero means the record predates the field; nothing to verify then.
-    expect_u64(mm, "memory_per_session", want.memory_per_session,
-               got.memory_per_session);
-  }
-
-  expect_u64(mm, "shard count", want.shards.size(), got.shards.size());
-  const std::size_t shards = std::min(want.shards.size(), got.shards.size());
-  for (std::size_t s = 0; s < shards; ++s) {
-    const std::string prefix = "shard[" + std::to_string(s) + "].";
-    const ShardReport& w = want.shards[s];
-    const ShardReport& g = got.shards[s];
-    expect_u64(mm, (prefix + "events_digest").c_str(), w.events_digest,
-               g.events_digest);
-    expect_u64(mm, (prefix + "admitted").c_str(), w.admitted, g.admitted);
-    expect_u64(mm, (prefix + "dropped").c_str(), w.dropped, g.dropped);
-    expect_u64(mm, (prefix + "completed").c_str(), w.completed, g.completed);
-    expect_u64(mm, (prefix + "aborted").c_str(), w.aborted, g.aborted);
-    expect_u64(mm, (prefix + "wire_bytes").c_str(), w.wire_bytes, g.wire_bytes);
-    expect_u64(mm, (prefix + "records").c_str(), w.records, g.records);
-    expect_u64(mm, (prefix + "peak_virtual_depth").c_str(),
-               w.peak_virtual_depth, g.peak_virtual_depth);
-  }
-
-  expect_u64(mm, "event count", want.events.size(), got.events.size());
-  const std::size_t events = std::min(want.events.size(), got.events.size());
-  for (std::size_t i = 0; i < events; ++i) {
-    if (want.events[i] == got.events[i]) continue;
-    mm.push_back("events[" + std::to_string(i) + "] (session " +
-                 std::to_string(want.events[i].id) + "): digest recorded " +
-                 std::to_string(want.events[i].digest()) + ", replayed " +
-                 std::to_string(got.events[i].digest()));
-  }
+  RunReport::for_each_field(FieldCompare{mm, "", RunReport::kV1Fields}, want,
+                            got);
+  FieldCompare{mm, ""}("events", want.events, got.events);
   return mm;
 }
 
@@ -701,8 +516,7 @@ void RunRecorder::on_checkpoint(const EngineCheckpoint& checkpoint) {
 
 bool RunRecorder::finish(const RunReport& report) {
   if (closed_) return ok();
-  writer_->chunk(tag(RecordChunk::kReport), encode_report(report));
-  writer_->chunk(tag(RecordChunk::kEvents), encode_events(report.events));
+  write_outcome_chunks(*writer_, report);
   writer_->end();  // writes the end tag and closes the tee (and the file)
   closed_ = true;
   return ok();
@@ -738,10 +552,8 @@ ResumeScan scan_trace_for_resume(const std::vector<std::uint8_t>& bytes) {
   // Header errors (magic/version) identify no run at all: let them throw.
   replay::ChunkReader reader(bytes);
   scan.scanned_bytes = reader.offset();
-  bool meta = false, scenario = false, config = false, costs = false,
-       report = false, events = false, ended = false;
-  ssl::PlatformCosts rec_base, rec_opt;
-  const auto inputs_ok = [&] { return meta && scenario && config && costs; };
+  ChunksSeen seen;
+  bool ended = false;
   try {
     for (;;) {
       const std::size_t chunk_start = reader.offset();
@@ -750,83 +562,43 @@ ResumeScan scan_trace_for_resume(const std::vector<std::uint8_t>& bytes) {
         ended = true;
         break;
       }
-      switch (static_cast<RecordChunk>(chunk->tag)) {
-        case RecordChunk::kMeta: {
-          Cursor c(chunk->payload);
-          scan.record.git_rev = c.str();
-          scan.record.recorded_threads = static_cast<unsigned>(c.varint());
-          meta = true;
-          break;
-        }
-        case RecordChunk::kScenario:
-          scan.record.scenario = decode_scenario(chunk->payload);
-          scenario = true;
-          break;
-        case RecordChunk::kScenarioSource: {
-          Cursor c(chunk->payload);
-          scan.record.scenario_source = c.str();
-          break;
-        }
-        case RecordChunk::kConfig:
-          scan.record.config = decode_config(chunk->payload);
-          scan.record.config.threads = scan.record.recorded_threads;
-          scan.record.config.record_events = true;
-          config = true;
-          break;
-        case RecordChunk::kCosts: {
-          Cursor c(chunk->payload);
-          rec_base = get_costs(c);
-          rec_opt = get_costs(c);
-          costs = true;
-          break;
-        }
-        case RecordChunk::kCheckpoint: {
-          if (!inputs_ok()) {
-            throw ReplayError(ErrorKind::kMalformed, chunk_start,
-                              "checkpoint chunk before the input chunks");
-          }
-          EngineCheckpoint cp = decode_checkpoint(chunk->payload);
-          if (cp.seq != scan.checkpoints.size()) {
-            throw ReplayError(
-                ErrorKind::kMalformed, chunk_start,
-                "checkpoint seq " + std::to_string(cp.seq) +
-                    " out of order (expected " +
-                    std::to_string(scan.checkpoints.size()) + ")");
-          }
-          if (!scan.checkpoints.empty() &&
-              cp.virtual_now <= scan.checkpoints.back().virtual_now) {
-            throw ReplayError(ErrorKind::kMalformed, chunk_start,
-                              "checkpoint virtual time not increasing");
-          }
-          scan.checkpoints.push_back(std::move(cp));
-          break;
-        }
-        case RecordChunk::kReport:
-          scan.record.report = decode_report(chunk->payload);
-          report = true;
-          break;
-        case RecordChunk::kEvents:
-          scan.record.report.events = decode_events(chunk->payload);
-          events = true;
-          break;
-        default:
-          break;  // unknown tags skipped, as in decode_run_record
+      if (chunk->tag != tag(RecordChunk::kCheckpoint)) {
+        decode_chunk(*chunk, scan.record, seen);
+        scan.scanned_bytes = reader.offset();
+        continue;
       }
+      if (!seen.inputs()) {
+        throw ReplayError(ErrorKind::kMalformed, chunk_start,
+                          "checkpoint chunk before the input chunks");
+      }
+      EngineCheckpoint cp = decode_checkpoint(chunk->payload);
+      if (cp.seq != scan.checkpoints.size()) {
+        throw ReplayError(ErrorKind::kMalformed, chunk_start,
+                          "checkpoint seq " + std::to_string(cp.seq) +
+                              " out of order (expected " +
+                              std::to_string(scan.checkpoints.size()) + ")");
+      }
+      if (!scan.checkpoints.empty() &&
+          cp.virtual_now <= scan.checkpoints.back().virtual_now) {
+        throw ReplayError(ErrorKind::kMalformed, chunk_start,
+                          "checkpoint virtual time not increasing");
+      }
+      scan.checkpoints.push_back(std::move(cp));
       scan.scanned_bytes = reader.offset();
     }
   } catch (const ReplayError& e) {
     // Before the inputs are complete there is no run to resume — the caller
     // gets the error.  After them, damage is what a crash looks like: stop
     // at the last good chunk and record why.
-    if (!inputs_ok()) throw;
+    if (!seen.inputs()) throw;
     scan.tear = e.what();
   }
-  if (!inputs_ok()) {
+  if (!seen.inputs()) {
     throw ReplayError(ErrorKind::kMalformed, bytes.size(),
                       "trace ends before the input chunks are complete");
   }
-  require_calibration(rec_base, rec_opt, scan.record.git_rev);
-  scan.complete = ended && report && events && scan.tear.empty();
+  require_calibration(seen.base, seen.opt, scan.record.git_rev);
+  scan.complete = ended && seen.report && seen.events && scan.tear.empty();
   if (!scan.complete) {
     // Don't hand out a half-read outcome: a report without its event stream
     // (or vice versa) is not a verification target.

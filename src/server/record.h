@@ -11,7 +11,11 @@
 //
 // replay_run() re-runs the engine from the recorded inputs — at ANY thread
 // count, since threads are outside the determinism contract — and verifies
-// the outcome bit-exactly, reporting every mismatching field by name.  A
+// the outcome bit-exactly, reporting every mismatching field by name.  It
+// verifies every deterministic field because compare_reports walks the
+// same field lists (RunReport/ShardReport/SessionEvent::for_each_field in
+// engine.h) that the kReport and kEvents codecs are derived from: a field
+// that is recorded is also compared.  A
 // calibration mismatch (the binary's calibrated_costs differ from the
 // recording's) is reported before the engine even runs, so a replay on a
 // drifted build fails loudly instead of chasing phantom regressions.
@@ -94,10 +98,13 @@ struct ReplayResult {
   bool ok() const { return mismatches.empty(); }
 };
 
-/// Field-by-field comparison of two reports' deterministic sections —
-/// scalars, latency quantiles, per-shard reports (event digests first) and
-/// the full event streams.  Returns one human-readable line per mismatch;
-/// empty = bit-identical.  Shared by replay_run and the crash-resume path.
+/// Field-by-field comparison of two reports' deterministic sections: every
+/// entry of RunReport's field list (scalars, latency quantiles, every
+/// ShardReport field), then the event streams.  Returns one line per
+/// mismatching field, named as in the list ("queue_depth_peak: recorded 9,
+/// replayed 10", "shards[0].retried: ...", "events[4].faults: ...");
+/// empty = bit-identical.  Shared by replay_run, the crash-resume path and
+/// the bench equivalence gates.
 std::vector<std::string> compare_reports(const RunReport& want,
                                          const RunReport& got);
 

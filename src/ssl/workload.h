@@ -22,6 +22,20 @@ struct PlatformCosts {
   double hash_cycles_per_byte = 0.0;       ///< HMAC-SHA1 (not accelerated)
   double handshake_misc_cycles = 0.0;      ///< KDF, framing, protocol logic
   double misc_cycles_per_byte = 0.0;       ///< copying / framing per byte
+
+  bool operator==(const PlatformCosts&) const = default;
+
+  /// The fields in wire order (trace kCosts); see
+  /// server::SessionEvent::for_each_field for the protocol.
+  template <class F, class... S>
+  static void for_each_field(F&& f, S&... s) {
+    f("rsa_private_cycles", s.rsa_private_cycles...);
+    f("rsa_public_cycles", s.rsa_public_cycles...);
+    f("symmetric_cycles_per_byte", s.symmetric_cycles_per_byte...);
+    f("hash_cycles_per_byte", s.hash_cycles_per_byte...);
+    f("handshake_misc_cycles", s.handshake_misc_cycles...);
+    f("misc_cycles_per_byte", s.misc_cycles_per_byte...);
+  }
 };
 
 /// Defaults for the components the platform does NOT accelerate.  The

@@ -143,6 +143,7 @@ class Cursor {
 
   bool done() const { return off_ == size_; }
   std::size_t offset() const { return off_; }
+  std::size_t remaining() const { return size_ - off_; }
 
  private:
   const std::uint8_t* data_;

@@ -155,6 +155,43 @@ TEST(CheckpointCodec, TruncatedPayloadThrowsTyped) {
   EXPECT_THROW((void)server::decode_checkpoint(padded), ReplayError);
 }
 
+// An entry's shard index is range-checked on the full decoded value: a
+// CRC-valid 2^32 must not narrow to shard 0 and pass.
+TEST(CheckpointCodec, EntryShardWiderThan32BitsIsMalformed) {
+  server::EngineCheckpoint cp;
+  cp.offered = 1;
+  cp.shards.resize(1);
+  cp.shards[0].admitted = 1;
+  cp.latencies = {5.0};
+  cp.entries.resize(1);
+  cp.entries[0].event.completed = true;
+  cp.shards[0].events_digest =
+      server::chain_events_digest(0, cp.entries[0].event);
+  cp.generator.rng.s[0] = 1;
+  cp.generator.next_id = 1;
+  std::vector<std::uint8_t> payload;
+  server::encode_checkpoint(payload, cp);
+  ASSERT_NO_THROW((void)server::decode_checkpoint(payload));
+
+  // Header (4 counters, flag, doubles and peak), one shard with no pending
+  // completions, one latency, the entry count and the first id delta.
+  replay::Cursor c(payload);
+  for (char kind : std::string("vdvvvvdvddvdvvvvvvdvv")) {
+    kind == 'd' ? (void)c.f64() : (void)c.varint();
+  }
+  const std::size_t at = c.offset();
+  ASSERT_EQ(payload[at], 0u);  // the entry's shard, one byte
+  std::vector<std::uint8_t> wide(payload.begin(), payload.begin() + at);
+  replay::put_varint(wide, std::uint64_t{1} << 32);
+  wide.insert(wide.end(), payload.begin() + at + 1, payload.end());
+  try {
+    (void)server::decode_checkpoint(wide);
+    FAIL() << "shard 2^32 accepted";
+  } catch (const ReplayError& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kMalformed) << e.what();
+  }
+}
+
 TEST(CheckpointCodec, StaleSlabHandleGenerationIsMalformed) {
   // Parked entries only exist in traces recorded with lanes > 1, hence the
   // legacy fixture.
@@ -261,6 +298,30 @@ TEST(CheckpointLegacy, Lanes8TraceResumesBitIdenticallyToAFreshRun) {
     EXPECT_TRUE(mismatches.empty())
         << "threads=" << threads << ": " << mismatches.front();
   }
+}
+
+// Every checkpoint payload of the legacy trace, parked entries included,
+// re-encodes to the exact bytes it was decoded from: the entry codec still
+// writes the layout those recorders wrote.
+TEST(CheckpointLegacy, Lanes8CheckpointPayloadsReencodeByteIdentically) {
+  replay::ChunkReader reader(testdata::kLegacyLanes8Trace);
+  std::size_t checkpoints = 0;
+  try {
+    while (auto chunk = reader.next()) {
+      if (chunk->tag !=
+          static_cast<std::uint64_t>(server::RecordChunk::kCheckpoint)) {
+        continue;
+      }
+      ++checkpoints;
+      std::vector<std::uint8_t> again;
+      server::encode_checkpoint(again,
+                                server::decode_checkpoint(chunk->payload));
+      EXPECT_EQ(again, chunk->payload) << "checkpoint " << checkpoints - 1;
+    }
+  } catch (const replay::ReplayError&) {
+    // The trace is torn after its last checkpoint (it records a crash).
+  }
+  EXPECT_EQ(checkpoints, testdata::kLegacyLanes8CheckpointOffsets.size());
 }
 
 // --- crash + restore --------------------------------------------------------

@@ -10,6 +10,7 @@
 #include "crypto/des.h"
 #include "crypto/rc4.h"
 #include "crypto/rsa.h"
+#include "golden_chaos_trace.h"
 #include "kernels/des_kernel.h"
 #include "kernels/modexp_kernel.h"
 #include "legacy_lanes8_trace.h"
@@ -459,6 +460,74 @@ TEST(Fuzz, StaleSlabHandlesInCheckpointsAreAlwaysTyped) {
     }
   }
   EXPECT_TRUE(saw_parked) << "fuzz trace carries no parked entries";
+}
+
+// --- run-record payload fuzzing ----------------------------------------------
+//
+// The golden chaos trace's kConfig/kCosts/kReport/kEvents payloads, mutated
+// and re-framed with valid CRCs so every mutation reaches the field-list
+// decoders: decode_run_record must return a record or throw a typed
+// replay::ReplayError, never anything else (std::bad_alloc from an
+// unchecked count, a silently narrowed integer that later trips a
+// logic_error, ...).
+
+std::vector<std::uint8_t> mutate_payload(std::vector<std::uint8_t> p,
+                                         Rng& rng) {
+  const int edits = 1 + static_cast<int>(rng.below(3));
+  for (int e = 0; e < edits; ++e) {
+    const std::size_t pos = p.empty() ? 0 : rng.below(p.size());
+    switch (rng.below(5)) {
+      case 0:  // overwrite
+        if (!p.empty()) p[pos] = static_cast<std::uint8_t>(rng.below(256));
+        break;
+      case 1:  // single bit flip
+        if (!p.empty()) p[pos] ^= static_cast<std::uint8_t>(1u << rng.below(8));
+        break;
+      case 2:  // truncate
+        p.resize(pos);
+        break;
+      case 3: {  // insert a huge varint (count or narrow-field overflow)
+        std::vector<std::uint8_t> v;
+        replay::put_varint(v, rng.next_u64() >> rng.below(64));
+        p.insert(p.begin() + static_cast<std::ptrdiff_t>(pos), v.begin(),
+                 v.end());
+        break;
+      }
+      default: {  // tear a run of bytes out of the middle
+        const std::size_t len =
+            std::min<std::size_t>(1 + rng.below(16), p.size() - pos);
+        p.erase(p.begin() + static_cast<std::ptrdiff_t>(pos),
+                p.begin() + static_cast<std::ptrdiff_t>(pos + len));
+        break;
+      }
+    }
+  }
+  return p;
+}
+
+TEST(FuzzRecordPayload, GoldenPayloadMutationsAreTypedOrDecoded) {
+  using server::RecordChunk;
+  const auto& trace = testdata::kGoldenChaosTrace;
+  Rng rng(906);
+  for (RecordChunk chunk : {RecordChunk::kConfig, RecordChunk::kCosts,
+                            RecordChunk::kReport, RecordChunk::kEvents}) {
+    const auto payload = testdata::chunk_payload(trace, chunk);
+    ASSERT_FALSE(payload.empty());
+    std::size_t typed = 0;
+    for (int iter = 0; iter < 300; ++iter) {
+      const auto bytes = testdata::with_chunk_payload(
+          trace, chunk, mutate_payload(payload, rng));
+      try {
+        (void)server::decode_run_record(bytes);
+      } catch (const replay::ReplayError&) {
+        ++typed;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "chunk " << static_cast<int>(chunk) << " iteration "
+                      << iter << ": untyped " << e.what();
+      }
+    }
+    EXPECT_GT(typed, 0u) << "chunk " << static_cast<int>(chunk);
+  }
 }
 
 }  // namespace

@@ -7,10 +7,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "crypto/crc32.h"
+#include "golden_chaos_trace.h"
 #include "server/record.h"
 #include "support/random.h"
 #include "support/replay.h"
@@ -490,6 +494,206 @@ TEST(ReplayRunRecord, FileRoundTrip) {
   } catch (const ReplayError& e) {
     EXPECT_EQ(e.kind(), ErrorKind::kTruncated);
   }
+}
+
+// --- the golden chaos trace (tests/golden_chaos_trace.h) -------------------
+
+using server::RecordChunk;
+using testdata::kGoldenChaosTrace;
+
+TEST(ReplayGolden, DecodeEncodeReproducesTheFixtureByteForByte) {
+  const server::RunRecord rec = server::decode_run_record(kGoldenChaosTrace);
+  EXPECT_EQ(rec.git_rev, "golden");
+  EXPECT_EQ(rec.scenario_source, testdata::kGoldenChaosSource);
+  ASSERT_EQ(rec.scenario.phases.size(), 2u);
+  EXPECT_TRUE(rec.scenario.phases[0].faults.has_value());
+  const server::EngineConfig want = testdata::golden_chaos_config();
+  EXPECT_EQ(rec.config.shards, want.shards);
+  EXPECT_EQ(rec.config.queue_capacity, want.queue_capacity);
+  EXPECT_EQ(rec.config.degrade_depth, want.degrade_depth);
+  EXPECT_EQ(rec.config.faults.abort_rate, want.faults.abort_rate);
+  EXPECT_EQ(rec.report.admitted, rec.report.events.size());
+  EXPECT_GT(rec.report.aborted, 0u);
+  EXPECT_EQ(server::encode_run_record(rec), kGoldenChaosTrace);
+}
+
+TEST(ReplayGolden, ReplaysWithZeroMismatchesAtThreads1And4) {
+  const server::RunRecord rec = server::decode_run_record(kGoldenChaosTrace);
+  for (unsigned threads : {1u, 4u}) {
+    const auto result = server::replay_run(rec, threads);
+    EXPECT_TRUE(result.ok()) << "threads=" << threads << ": "
+                             << result.mismatches.size() << " mismatches, "
+                             << result.mismatches.front();
+  }
+}
+
+// compare_reports must see every deterministic field: perturbing any one of
+// them yields exactly one mismatch line, and that line names the field.
+// The names come from this literal list, not from the field lists in
+// engine.h, so an entry missing there fails here.
+TEST(ReplayCompare, EveryDeterministicFieldIsComparedAndNamed) {
+  const server::RunReport want =
+      server::decode_run_record(kGoldenChaosTrace).report;
+  ASSERT_EQ(want.shards.size(), 2u);
+  ASSERT_GT(want.events.size(), 5u);
+  using R = server::RunReport&;
+  const std::vector<std::pair<std::string, std::function<void(R)>>> cases = {
+      {"offered", [](R r) { ++r.offered; }},
+      {"admitted", [](R r) { ++r.admitted; }},
+      {"completed", [](R r) { ++r.completed; }},
+      {"dropped", [](R r) { ++r.dropped; }},
+      {"aborted", [](R r) { ++r.aborted; }},
+      {"retried", [](R r) { ++r.retried; }},
+      {"repaired", [](R r) { ++r.repaired; }},
+      {"faults_injected", [](R r) { ++r.faults_injected; }},
+      {"shed", [](R r) { ++r.shed; }},
+      {"degrade_enters", [](R r) { ++r.degrade_enters; }},
+      {"records", [](R r) { ++r.records; }},
+      {"wire_bytes", [](R r) { ++r.wire_bytes; }},
+      {"bytes_digest", [](R r) { ++r.bytes_digest; }},
+      {"latency_p50_cycles", [](R r) { r.latency.p50 += 1.0; }},
+      {"latency_p90_cycles", [](R r) { r.latency.p90 += 1.0; }},
+      {"latency_p99_cycles", [](R r) { r.latency.p99 += 1.0; }},
+      {"latency_max_cycles", [](R r) { r.latency.max += 1.0; }},
+      {"makespan_cycles", [](R r) { r.makespan_cycles += 1.0; }},
+      {"throughput_per_gcycle", [](R r) { r.throughput_per_gcycle += 1.0; }},
+      {"queue_depth_peak", [](R r) { ++r.peak_virtual_depth; }},
+      {"sessions_peak", [](R r) { ++r.peak_sessions; }},
+      {"mean_service_cycles", [](R r) { r.mean_service_cycles += 1.0; }},
+      {"platform_cycles_base", [](R r) { r.platform_cycles_base += 1.0; }},
+      {"platform_cycles_opt", [](R r) { r.platform_cycles_optimized += 1.0; }},
+      {"platform_equiv_speedup", [](R r) { r.equivalent_speedup += 1.0; }},
+      {"memory_per_session", [](R r) { ++r.memory_per_session; }},
+      {"shards count", [](R r) { r.shards.emplace_back(); }},
+      {"shards[0].admitted", [](R r) { ++r.shards[0].admitted; }},
+      {"shards[0].dropped", [](R r) { ++r.shards[0].dropped; }},
+      {"shards[0].completed", [](R r) { ++r.shards[0].completed; }},
+      {"shards[0].aborted", [](R r) { ++r.shards[0].aborted; }},
+      {"shards[0].wire_bytes", [](R r) { ++r.shards[0].wire_bytes; }},
+      {"shards[0].records", [](R r) { ++r.shards[0].records; }},
+      {"shards[0].retried", [](R r) { ++r.shards[0].retried; }},
+      {"shards[0].repaired", [](R r) { ++r.shards[0].repaired; }},
+      {"shards[0].faults_injected",
+       [](R r) { ++r.shards[0].faults_injected; }},
+      {"shards[1].peak_virtual_depth",
+       [](R r) { ++r.shards[1].peak_virtual_depth; }},
+      {"shards[1].events_digest", [](R r) { ++r.shards[1].events_digest; }},
+      {"events count", [](R r) { r.events.pop_back(); }},
+      {"events[5].retries", [](R r) { ++r.events[5].retries; }},
+      {"events[0].completed",
+       [](R r) { r.events[0].completed = !r.events[0].completed; }},
+  };
+  ASSERT_TRUE(server::compare_reports(want, want).empty());
+  for (const auto& [field, perturb] : cases) {
+    server::RunReport got = want;
+    perturb(got);
+    const auto mismatches = server::compare_reports(want, got);
+    ASSERT_EQ(mismatches.size(), 1u) << field;
+    EXPECT_EQ(mismatches[0].rfind(field + ": recorded ", 0), 0u)
+        << field << " -> " << mismatches[0];
+  }
+}
+
+// --- crafted CRC-valid payloads --------------------------------------------
+
+/// Byte offset just past the fields `layout` spells ('v' a varint, 'd' a
+/// double), walked by hand so the layout is independent of the codec.
+std::size_t offset_after(const std::vector<std::uint8_t>& payload,
+                         std::string_view layout) {
+  Cursor c(payload);
+  for (char kind : layout) kind == 'd' ? (void)c.f64() : (void)c.varint();
+  return c.offset();
+}
+
+/// `payload` with the varint starting at byte `at` replaced by `value`.
+std::vector<std::uint8_t> replace_varint(std::vector<std::uint8_t> payload,
+                                         std::size_t at, std::uint64_t value) {
+  Cursor old(payload.data() + at, payload.size() - at);
+  old.varint();
+  std::vector<std::uint8_t> fresh;
+  replay::put_varint(fresh, value);
+  payload.erase(payload.begin() + at, payload.begin() + at + old.offset());
+  payload.insert(payload.begin() + at, fresh.begin(), fresh.end());
+  return payload;
+}
+
+/// Re-frames the golden trace with the `chunk` varint at `at` set to
+/// `value`; decoding it must be kMalformed at exactly that offset.
+void expect_malformed(RecordChunk chunk, std::size_t at, std::uint64_t value,
+                      const char* what) {
+  const auto payload = testdata::chunk_payload(kGoldenChaosTrace, chunk);
+  ASSERT_LT(at, payload.size()) << what;
+  const auto bytes = testdata::with_chunk_payload(
+      kGoldenChaosTrace, chunk, replace_varint(payload, at, value));
+  try {
+    (void)server::decode_run_record(bytes);
+    FAIL() << what << " = " << value << " accepted";
+  } catch (const ReplayError& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kMalformed) << what << ": " << e.what();
+    EXPECT_EQ(e.offset(), at) << what << ": " << e.what();
+  }
+}
+
+constexpr std::uint64_t k2to32 = std::uint64_t{1} << 32;
+constexpr std::uint64_t k2to40 = std::uint64_t{1} << 40;
+
+TEST(ReplayCrafted, OversizeEventCountIsMalformedNotBadAlloc) {
+  expect_malformed(RecordChunk::kEvents, 0, k2to40, "event count");
+}
+
+TEST(ReplayCrafted, OversizeShardCountIsMalformedNotBadAlloc) {
+  // 13 counters, 6 doubles (latency quantiles, makespan, throughput),
+  // 2 peaks, 4 doubles, then the shard count.
+  const auto report =
+      testdata::chunk_payload(kGoldenChaosTrace, RecordChunk::kReport);
+  expect_malformed(RecordChunk::kReport,
+                   offset_after(report, "vvvvvvvvvvvvvddddddvvdddd"), k2to40,
+                   "shard count");
+}
+
+TEST(ReplayCrafted, EngineConfigNarrowFieldsAreRangeChecked) {
+  const auto config =
+      testdata::chunk_payload(kGoldenChaosTrace, RecordChunk::kConfig);
+  expect_malformed(RecordChunk::kConfig, 0, k2to32, "shards");
+  expect_malformed(RecordChunk::kConfig, offset_after(config, "vvvv"), 2,
+                   "pricing");
+}
+
+TEST(ReplayCrafted, FaultConfigRetryBudgetsAreRangeChecked) {
+  // 6 engine fields, then the faults: 5 doubles, the two budgets.
+  const auto config =
+      testdata::chunk_payload(kGoldenChaosTrace, RecordChunk::kConfig);
+  expect_malformed(RecordChunk::kConfig, offset_after(config, "vvvvvvddddd"),
+                   k2to32, "record_retry_budget");
+  expect_malformed(RecordChunk::kConfig, offset_after(config, "vvvvvvdddddv"),
+                   k2to32, "handshake_retry_budget");
+}
+
+TEST(ReplayCrafted, ReportBytesDigestIsRangeChecked) {
+  const auto report =
+      testdata::chunk_payload(kGoldenChaosTrace, RecordChunk::kReport);
+  expect_malformed(RecordChunk::kReport, offset_after(report, "vvvvvvvvvvvv"),
+                   k2to32, "bytes_digest");
+}
+
+TEST(ReplayCrafted, EventNarrowCountersAndFlagAreRangeChecked) {
+  // count, then the first event: id delta, shard, wire_bytes, records,
+  // retries, repairs, faults, completed.
+  const auto events =
+      testdata::chunk_payload(kGoldenChaosTrace, RecordChunk::kEvents);
+  expect_malformed(RecordChunk::kEvents, offset_after(events, "vv"), k2to32,
+                   "shard");
+  expect_malformed(RecordChunk::kEvents, offset_after(events, "vvvvv"),
+                   k2to32, "retries");
+  expect_malformed(RecordChunk::kEvents, offset_after(events, "vvvvvvvv"), 2,
+                   "completed");
+}
+
+TEST(ReplayCrafted, MetaThreadCountIsRangeChecked) {
+  const auto meta =
+      testdata::chunk_payload(kGoldenChaosTrace, RecordChunk::kMeta);
+  const std::size_t at = Cursor(meta).str().size() + 1;  // length byte + text
+  expect_malformed(RecordChunk::kMeta, at, k2to32, "recorded_threads");
 }
 
 TEST(ReplayCrc32Filter, MatchesOneShotCrc) {

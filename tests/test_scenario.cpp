@@ -9,6 +9,7 @@
 
 #include "scenario/compile.h"
 #include "server/engine.h"
+#include "server/record.h"
 #include "server_section.h"
 
 namespace wsp {
@@ -191,8 +192,9 @@ TEST(ScenarioEquivalence, OnePhaseOpenLoopMatchesFlatFig8Bitwise) {
       "  phase \"steady\" { sessions 64, arrivals open, load 0.6 }\n"
       "}\n");
   const auto flat = bench::steady_scenario(71, 64);
-  EXPECT_TRUE(bench::reports_deterministically_equal(
-      run_with(compiled.scenario), run_with(flat)));
+  EXPECT_TRUE(server::compare_reports(run_with(compiled.scenario),
+                                      run_with(flat))
+                  .empty());
 }
 
 TEST(ScenarioEquivalence, OnePhaseClosedLoopMatchesFlatBitwise) {
@@ -203,8 +205,9 @@ TEST(ScenarioEquivalence, OnePhaseClosedLoopMatchesFlatBitwise) {
       "  phase { sessions 32, arrivals closed, users 8, think 6000000 }\n"
       "}\n");
   const auto flat = bench::closed_scenario(72, 32, 8);
-  EXPECT_TRUE(bench::reports_deterministically_equal(
-      run_with(compiled.scenario), run_with(flat)));
+  EXPECT_TRUE(server::compare_reports(run_with(compiled.scenario),
+                                      run_with(flat))
+                  .empty());
 }
 
 TEST(ScenarioEquivalence, ResumeOnMatchesFlatResumeSessionsBitwise) {
@@ -230,8 +233,9 @@ TEST(ScenarioEquivalence, ResumeOnMatchesFlatResumeSessionsBitwise) {
   flat.ciphers = {ssl::Cipher::kRc4};
   flat.transaction_sizes = {256, 512};
   flat.record_bytes = 256;
-  EXPECT_TRUE(bench::reports_deterministically_equal(
-      run_with(compiled.scenario), run_with(flat)));
+  EXPECT_TRUE(server::compare_reports(run_with(compiled.scenario),
+                                      run_with(flat))
+                  .empty());
 }
 
 TEST(ScenarioEquivalence, WeightedMixEqualsDuplicatedGridEntries) {
@@ -257,8 +261,9 @@ TEST(ScenarioEquivalence, WeightedMixEqualsDuplicatedGridEntries) {
   flat.ciphers = {ssl::Cipher::kTripleDesCbc, ssl::Cipher::kTripleDesCbc,
                   ssl::Cipher::kRc4};
   flat.transaction_sizes = {1024, 4096, 4096};
-  EXPECT_TRUE(bench::reports_deterministically_equal(
-      run_with(compiled.scenario), run_with(flat)));
+  EXPECT_TRUE(server::compare_reports(run_with(compiled.scenario),
+                                      run_with(flat))
+                  .empty());
 }
 
 TEST(ScenarioPrograms, MultiPhaseRunsAllPhasesAndKeepsLeakInvariant) {

@@ -49,7 +49,7 @@ TEST(ScenarioDeterminism, ReportBitIdenticalAcrossThreadsAndLanes) {
   EXPECT_GT(reference.faults_injected, 0u);
   for (unsigned threads : {2u, 8u}) {
     const auto rep = run_with(compiled.scenario, threads);
-    EXPECT_TRUE(bench::reports_deterministically_equal(reference, rep))
+    EXPECT_TRUE(server::compare_reports(reference, rep).empty())
         << "threads=" << threads;
   }
 }

@@ -50,6 +50,11 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}"
   # through the checkpoint decoder, and parked entries re-admitted on
   # resume.
   ctest -R 'CheckpointLegacy' --output-on-failure
+  # The golden chaos trace (also in tier1): byte-exact re-encoding, replay,
+  # per-field compare coverage, crafted out-of-range payloads and the
+  # payload-level fuzzer, all through the field-list codecs.
+  ctest -R 'ReplayGolden|ReplayCompare|ReplayCrafted|FuzzRecordPayload' \
+        --output-on-failure
   ctest -R 'Trace|TraceJson|Json\.|BenchFlags|BenchJson|BenchServerSchema|BenchGate' \
         --output-on-failure
   ctest -R 'ServerDeterminism|ServerSoak|ServerChaos|ServerBatch|TamperRecovery' \
