@@ -450,10 +450,10 @@ bench::BenchResult run_scenario_section() {
   cfg.shards = 4;
 
   {
-    // Legacy-equivalence gate: a one-phase .wsp spelling of the Fig. 8
-    // steady scenario must produce a report IDENTICAL to the flat code
-    // path — same Rng consumption, same means, same everything.  Gated
-    // exact-zero via */equiv_mismatch.
+    // Equivalence gate: a one-phase .wsp spelling of the Fig. 8 steady
+    // scenario must produce a report IDENTICAL to the flat scenario (which
+    // the engine lowers to one phase) — same Rng consumption, same means,
+    // same everything.  Gated exact-zero via */equiv_mismatch.
     static const char* kFig8Wsp =
         "scenario \"fig8\" {\n"
         "  seed 71\n"

@@ -18,7 +18,8 @@ using server::TrafficScenario;
 
 /// The built-in phase template every scenario starts from: the paper's
 /// Fig. 8 measurement grid under a steady open loop — a one-phase program
-/// with these parameters reproduces the legacy flat path bit for bit.
+/// with these parameters is exactly the default flat TrafficScenario's
+/// lowering, so both run bit for bit alike.
 struct PhaseParams {
   ArrivalModel model = ArrivalModel::kOpenLoop;
   double offered_load = 0.6;

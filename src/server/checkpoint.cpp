@@ -156,20 +156,16 @@ EngineCheckpoint decode_checkpoint(const std::vector<std::uint8_t>& payload) {
     e.event.shard = static_cast<std::uint32_t>(shard);
     e.parked = get_flag(c, "parked");
     if (e.parked) {
-      e.parked_info.phase = static_cast<std::uint32_t>(c.varint());
-      const std::uint64_t raw_cipher = c.varint();
-      if (raw_cipher > static_cast<std::uint64_t>(ssl::Cipher::kRc4)) {
-        malformed(c, "unknown cipher id " + std::to_string(raw_cipher));
-      }
-      e.parked_info.cipher = static_cast<ssl::Cipher>(raw_cipher);
+      e.parked_info.phase = get_u32(c, "parked phase");
+      e.parked_info.cipher = get_cipher(c);
       e.parked_info.transaction_bytes = c.varint();
       if (e.parked_info.transaction_bytes == 0) {
         malformed(c, "parked session with zero transaction bytes");
       }
       e.parked_info.session_seed = c.varint();
       e.parked_info.resume = get_flag(c, "resume");
-      e.parked_info.handle.slot = static_cast<std::uint32_t>(c.varint());
-      e.parked_info.handle.gen = static_cast<std::uint32_t>(c.varint());
+      e.parked_info.handle.slot = get_u32(c, "parked handle slot");
+      e.parked_info.handle.gen = get_u32(c, "parked handle generation");
       if ((e.parked_info.handle.gen & 1u) == 0) {
         // A live slab handle's generation is odd by construction
         // (support/arena.h).  An even or zero generation means the
@@ -205,7 +201,7 @@ EngineCheckpoint decode_checkpoint(const std::vector<std::uint8_t>& payload) {
   double prev_at = -1.0;
   for (std::uint64_t i = 0; i < ready; ++i) {
     const double at = get_finite(c, "pending arrival time");
-    const unsigned user = static_cast<unsigned>(c.varint());
+    const unsigned user = get_u32(c, "pending arrival user");
     if (at < prev_at) {
       malformed(c, "pending arrivals out of ascending order");
     }
@@ -280,6 +276,49 @@ void validate_checkpoint(const EngineCheckpoint& cp) {
              "was altered after capture");
     }
   }
+}
+
+std::string checkpoint_misfit(const EngineCheckpoint& cp,
+                              const std::vector<TrafficPhase>& program,
+                              unsigned shards) {
+  using std::to_string;
+  if (cp.shards.size() != shards) {
+    return "checkpoint has " + to_string(cp.shards.size()) +
+           " shards, the run has " + to_string(shards);
+  }
+  std::uint64_t total = 0;
+  for (const TrafficPhase& ph : program) total += ph.sessions;
+  if (cp.offered > total) {
+    return "checkpoint offered " + to_string(cp.offered) +
+           " arrivals, the scenario holds only " + to_string(total);
+  }
+  const TrafficGeneratorState& g = cp.generator;
+  if (g.next_id > total) return "generator cursor past the scenario end";
+  if (g.phase_idx > program.size()) return "generator phase index out of range";
+  // The phase cursor must agree with the id cursor: once a phase is
+  // entered, the earlier phases' arrivals plus the phase's own so far;
+  // before that (or in a flat trace recorded before flat scenarios ran as
+  // one-phase programs) the first phase, untouched.
+  std::uint64_t before = 0;
+  for (std::size_t i = 0; i < g.phase_idx; ++i) before += program[i].sessions;
+  if (g.phase_entered
+          ? g.phase_done > g.next_id || g.next_id - g.phase_done != before
+          : g.phase_idx != 0 || g.phase_done != 0) {
+    return "generator phase cursor disagrees with its id cursor";
+  }
+  for (const CheckpointEntry& e : cp.entries) {
+    if (e.event.shard != e.event.id % shards) {
+      return "entry for session " + to_string(e.event.id) + " names shard " +
+             to_string(e.event.shard) + ", routing places it on " +
+             to_string(e.event.id % shards);
+    }
+    if (e.parked && e.parked_info.phase >= program.size()) {
+      return "parked session " + to_string(e.event.id) + " names phase " +
+             to_string(e.parked_info.phase) +
+             ", which the scenario does not have";
+    }
+  }
+  return {};
 }
 
 }  // namespace wsp::server

@@ -32,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "server/engine.h"
@@ -61,7 +62,9 @@ struct CheckpointShard {
 /// fault schedule and handshake budget are NOT stored — both are re-derived
 /// from (scenario seed, id, phase) exactly as at original admission.
 struct ParkedSession {
-  std::uint32_t phase = 0;  ///< scenario phase it arrived in (0 when flat)
+  /// Phase it arrived in: an index into scenario.program(), so 0 for a
+  /// flat scenario (its one lowered phase).
+  std::uint32_t phase = 0;
   ssl::Cipher cipher = ssl::Cipher::kRc4;
   std::uint64_t transaction_bytes = 0;
   std::uint64_t session_seed = 0;
@@ -129,5 +132,14 @@ EngineCheckpoint decode_checkpoint(const std::vector<std::uint8_t>& payload);
 /// replay::ReplayError(kMalformed) on any violation — this is what stands
 /// between a CRC-valid-but-corrupt checkpoint and the engine.
 void validate_checkpoint(const EngineCheckpoint& cp);
+
+/// Why `cp` cannot belong to a run of `program` (TrafficScenario::program())
+/// on `shards` shards — a shard count, arrival count, generator cursor,
+/// entry routing or parked phase that run cannot have — or an empty string
+/// when it fits.  The engine's restore throws std::logic_error on a misfit;
+/// resume_run (server/record.h) rejects it first as typed kMalformed.
+std::string checkpoint_misfit(const EngineCheckpoint& cp,
+                              const std::vector<TrafficPhase>& program,
+                              unsigned shards);
 
 }  // namespace wsp::server

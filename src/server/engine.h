@@ -32,8 +32,11 @@
 // it sheds load (halved waiting rooms) and halves the record batch until
 // depth falls back under half the threshold (hysteresis).
 //
-// The determinism contract (what `--threads N` may never change) is spelled
-// out in docs/server.md.
+// Engine::run is an arrival loop over three stages (DESIGN.md §8): the
+// virtual-time admission model (server/admission.h), the data-plane
+// executor (pool, session table, scheduler, outcome ledger) and the
+// checkpoint barrier/restore step.  The determinism contract (what
+// `--threads N` may never change) is spelled out in docs/server.md.
 #pragma once
 
 #include <cstdint>
@@ -301,6 +304,11 @@ struct RunReport {
     f("memory_per_session", s.memory_per_session...);
   }
   static constexpr std::size_t kV1Fields = 26;
+
+  /// Sets the run totals (admitted, dropped, completed, aborted, retried,
+  /// repaired, faults_injected, wire_bytes, records) to the sums of the
+  /// per-shard counters.
+  void sum_shards();
 };
 
 class Engine {
@@ -308,8 +316,8 @@ class Engine {
   /// Throws std::invalid_argument on an invalid config (see EngineConfig).
   explicit Engine(const EngineConfig& config);
 
-  /// Offers the scenario's traffic — a flat parameter set or a compiled
-  /// multi-phase program (TrafficScenario.phases, docs/scenarios.md) —
+  /// Offers the scenario's traffic — a compiled multi-phase program
+  /// (docs/scenarios.md) or a flat parameter set lowered to one phase —
   /// executes every admitted session to completion, and reports.
   /// Synchronous; callable repeatedly.  Throws std::invalid_argument on a
   /// degenerate scenario (TrafficScenario::validate).  When

@@ -121,6 +121,23 @@ struct FieldReader {
   }
 };
 
+/// A cipher id varint; an id past the last ssl::Cipher is kMalformed.
+inline ssl::Cipher get_cipher(replay::Cursor& c) {
+  const std::uint64_t raw = c.varint();
+  if (raw > static_cast<std::uint64_t>(ssl::Cipher::kRc4)) {
+    malformed(c.offset(), "unknown cipher id " + std::to_string(raw));
+  }
+  return static_cast<ssl::Cipher>(raw);
+}
+
+/// One checked u32 varint, for the hand-written codecs (kScenario,
+/// kCheckpoint): a value past 2^32 - 1 is kMalformed at the field's offset.
+inline std::uint32_t get_u32(replay::Cursor& c, const char* name) {
+  std::uint32_t v = 0;
+  FieldReader{c}(name, v);
+  return v;
+}
+
 template <class S>
 void put_fields(std::vector<std::uint8_t>& out, const S& s) {
   S::for_each_field(FieldWriter{out}, s);

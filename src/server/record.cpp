@@ -90,17 +90,12 @@ TrafficScenario decode_scenario(const std::vector<std::uint8_t>& payload) {
   s.sessions = static_cast<std::size_t>(c.varint());
   s.model = c.varint() == 0 ? ArrivalModel::kOpenLoop : ArrivalModel::kClosedLoop;
   s.offered_load = c.f64();
-  s.users = static_cast<unsigned>(c.varint());
+  s.users = get_u32(c, "users");
   s.think_cycles = c.f64();
   s.ciphers.clear();
   const std::uint64_t ciphers = c.varint();
   for (std::uint64_t i = 0; i < ciphers; ++i) {
-    const std::uint64_t raw = c.varint();
-    if (raw > static_cast<std::uint64_t>(ssl::Cipher::kRc4)) {
-      throw ReplayError(ErrorKind::kMalformed, c.offset(),
-                        "unknown cipher id " + std::to_string(raw));
-    }
-    s.ciphers.push_back(static_cast<ssl::Cipher>(raw));
+    s.ciphers.push_back(get_cipher(c));
   }
   s.transaction_sizes.clear();
   const std::uint64_t sizes = c.varint();
@@ -124,19 +119,14 @@ TrafficScenario decode_scenario(const std::vector<std::uint8_t>& payload) {
       ph.model =
           c.varint() == 0 ? ArrivalModel::kOpenLoop : ArrivalModel::kClosedLoop;
       ph.offered_load = c.f64();
-      ph.users = static_cast<unsigned>(c.varint());
+      ph.users = get_u32(c, "phase users");
       ph.think_cycles = c.f64();
       ph.resume_fraction = c.f64();
       const std::uint64_t mixes = c.varint();
       for (std::uint64_t j = 0; j < mixes; ++j) {
         CipherMix m;
-        const std::uint64_t raw = c.varint();
-        if (raw > static_cast<std::uint64_t>(ssl::Cipher::kRc4)) {
-          throw ReplayError(ErrorKind::kMalformed, c.offset(),
-                            "unknown cipher id " + std::to_string(raw));
-        }
-        m.cipher = static_cast<ssl::Cipher>(raw);
-        m.weight = static_cast<std::uint32_t>(c.varint());
+        m.cipher = get_cipher(c);
+        m.weight = get_u32(c, "cipher mix weight");
         ph.cipher_mix.push_back(m);
       }
       const std::uint64_t sizes_n = c.varint();
@@ -147,7 +137,7 @@ TrafficScenario decode_scenario(const std::vector<std::uint8_t>& payload) {
           throw ReplayError(ErrorKind::kMalformed, c.offset(),
                             "zero transaction size in phase mix");
         }
-        m.weight = static_cast<std::uint32_t>(c.varint());
+        m.weight = get_u32(c, "size mix weight");
         ph.size_mix.push_back(m);
       }
       if (c.varint() != 0) get_fields(c, ph.faults.emplace());
@@ -634,46 +624,10 @@ ReplayResult resume_run(const ResumeScan& scan, unsigned threads_override) {
     // Everything the engine's restore path treats as a programming error
     // (logic_error) is pre-checked here as typed kMalformed: a CRC-valid
     // checkpoint that lies about the run it belongs to is an input problem.
-    const auto reject = [](const std::string& detail) {
-      throw ReplayError(ErrorKind::kMalformed, 0, "resume: " + detail);
-    };
-    const unsigned shards = engine.config().shards;
-    if (cp.shards.size() != shards) {
-      reject("checkpoint has " + std::to_string(cp.shards.size()) +
-             " shards, the recorded config resolves to " +
-             std::to_string(shards));
-    }
-    const std::uint64_t total = scenario.total_sessions();
-    if (cp.offered > total) {
-      reject("checkpoint offered " + std::to_string(cp.offered) +
-             " arrivals, the scenario holds only " + std::to_string(total));
-    }
-    if (cp.generator.next_id > total) {
-      reject("generator cursor past the scenario end");
-    }
-    if (scenario.phased()) {
-      const std::uint64_t nphases = scenario.phases.size();
-      if (cp.generator.phase_idx > nphases ||
-          (cp.generator.next_id < total && cp.generator.phase_idx >= nphases)) {
-        reject("generator phase index out of range");
-      }
-    } else if (cp.generator.phase_idx != 0) {
-      reject("generator phase index nonzero for a flat scenario");
-    }
-    for (const CheckpointEntry& e : cp.entries) {
-      if (e.event.shard != e.event.id % shards) {
-        reject("entry for session " + std::to_string(e.event.id) +
-               " names shard " + std::to_string(e.event.shard) +
-               ", routing places it on " + std::to_string(e.event.id % shards));
-      }
-      if (e.parked) {
-        const std::uint64_t phase = e.parked_info.phase;
-        if (scenario.phased() ? phase >= scenario.phases.size() : phase != 0) {
-          reject("parked session " + std::to_string(e.event.id) +
-                 " names phase " + std::to_string(phase) +
-                 ", which the scenario does not have");
-        }
-      }
+    const std::string misfit =
+        checkpoint_misfit(cp, scenario.program(), engine.config().shards);
+    if (!misfit.empty()) {
+      throw ReplayError(ErrorKind::kMalformed, 0, "resume: " + misfit);
     }
     result.report = engine.run(scenario, cp);
   }

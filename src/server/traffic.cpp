@@ -16,36 +16,34 @@ bool finite_positive(double v) { return std::isfinite(v) && v > 0.0; }
 
 }  // namespace
 
+std::vector<TrafficPhase> TrafficScenario::program() const {
+  if (!phases.empty()) return phases;
+  TrafficPhase ph;
+  ph.sessions = sessions;
+  ph.model = model;
+  ph.offered_load = offered_load;
+  ph.users = users;
+  ph.think_cycles = think_cycles;
+  ph.resume_fraction = resume_sessions ? 1.0 : 0.0;
+  for (const ssl::Cipher c : ciphers) ph.cipher_mix.push_back({c, 1});
+  for (const std::size_t bytes : transaction_sizes) {
+    ph.size_mix.push_back({bytes, 1});
+  }
+  return {std::move(ph)};
+}
+
 std::size_t TrafficScenario::total_sessions() const {
-  if (!phased()) return sessions;
   std::size_t total = 0;
-  for (const TrafficPhase& ph : phases) total += ph.sessions;
+  for (const TrafficPhase& ph : program()) total += ph.sessions;
   return total;
 }
 
 void TrafficScenario::validate() const {
   check(record_bytes > 0, "record_bytes must be > 0");
-  if (!phased()) {
-    check(sessions > 0, "sessions must be > 0");
-    check(!ciphers.empty(), "empty cipher grid");
-    check(!transaction_sizes.empty(), "empty transaction size grid");
-    for (const std::size_t bytes : transaction_sizes) {
-      check(bytes > 0, "transaction sizes must be > 0");
-    }
-    if (model == ArrivalModel::kOpenLoop) {
-      check(finite_positive(offered_load),
-            "offered_load must be finite and > 0");
-    } else {
-      check(users > 0, "closed loop needs users > 0");
-    }
-    check(std::isfinite(think_cycles) && think_cycles >= 0.0,
-          "think_cycles must be finite and >= 0");
-    return;
-  }
-  for (const TrafficPhase& ph : phases) {
-    check(ph.sessions > 0, "phase sessions must be > 0");
-    check(!ph.cipher_mix.empty(), "phase has an empty cipher mix");
-    check(!ph.size_mix.empty(), "phase has an empty size mix");
+  for (const TrafficPhase& ph : program()) {
+    check(ph.sessions > 0, "sessions must be > 0");
+    check(!ph.cipher_mix.empty(), "empty cipher mix");
+    check(!ph.size_mix.empty(), "empty transaction size mix");
     for (const CipherMix& m : ph.cipher_mix) {
       check(m.weight > 0, "cipher mix weights must be > 0");
     }
@@ -68,79 +66,20 @@ void TrafficScenario::validate() const {
   }
 }
 
-TrafficGenerator::TrafficGenerator(const TrafficScenario& scenario,
-                                   double mean_service_cycles,
-                                   unsigned service_units)
-    : scenario_(scenario), rng_(scenario.seed) {
-  if (scenario_.phased()) {
-    throw std::logic_error(
-        "traffic: a phased scenario needs the per-phase constructor");
-  }
-  total_sessions_ = scenario_.sessions;
-  if (scenario_.ciphers.empty() || scenario_.transaction_sizes.empty()) {
-    throw std::invalid_argument("traffic: empty cipher/size grid");
-  }
-  if (scenario_.model == ArrivalModel::kOpenLoop) {
-    if (scenario_.offered_load <= 0.0) {
-      throw std::invalid_argument("traffic: offered_load must be > 0");
-    }
-    interarrival_mean_ = mean_service_cycles /
-                         (static_cast<double>(std::max(1u, service_units)) *
-                          scenario_.offered_load);
-  } else {
-    if (scenario_.users == 0) {
-      throw std::invalid_argument("traffic: closed loop needs users > 0");
-    }
-    // Stagger the population's first arrivals across one mean think (or
-    // service) interval so they don't all collide at t = 0.
-    const double spread =
-        scenario_.think_cycles > 0.0 ? scenario_.think_cycles
-                                     : mean_service_cycles;
-    for (unsigned u = 0; u < scenario_.users; ++u) {
-      ready_.emplace(exp_draw(spread), u);
-    }
-  }
-}
-
 TrafficGenerator::TrafficGenerator(
     const TrafficScenario& scenario,
     const std::vector<double>& phase_mean_service_cycles,
     unsigned service_units)
-    : scenario_(scenario), rng_(scenario.seed) {
-  if (!scenario_.phased()) {
-    throw std::logic_error(
-        "traffic: the per-phase constructor needs a phased scenario");
-  }
-  if (phase_mean_service_cycles.size() != scenario_.phases.size()) {
+    : phases_(scenario.program()),
+      rng_(scenario.seed),
+      phase_mean_service_(phase_mean_service_cycles),
+      service_units_(static_cast<double>(std::max(1u, service_units))) {
+  if (phase_mean_service_.size() != phases_.size()) {
     throw std::logic_error(
         "traffic: one mean service figure per phase is required");
   }
-  scenario_.validate();
-  total_sessions_ = scenario_.total_sessions();
-  phase_mean_service_ = phase_mean_service_cycles;
-  const double units = static_cast<double>(std::max(1u, service_units));
-  phase_interarrival_.reserve(scenario_.phases.size());
-  for (std::size_t i = 0; i < scenario_.phases.size(); ++i) {
-    const TrafficPhase& ph = scenario_.phases[i];
-    phase_interarrival_.push_back(
-        ph.model == ArrivalModel::kOpenLoop
-            ? phase_mean_service_[i] / (units * ph.offered_load)
-            : 0.0);
-    std::uint64_t ctotal = 0, stotal = 0;
-    std::vector<std::uint32_t> cw, sw;
-    for (const CipherMix& m : ph.cipher_mix) {
-      ctotal += m.weight;
-      cw.push_back(m.weight);
-    }
-    for (const SizeMix& m : ph.size_mix) {
-      stotal += m.weight;
-      sw.push_back(m.weight);
-    }
-    cipher_weight_total_.push_back(ctotal);
-    size_weight_total_.push_back(stotal);
-    cipher_weights_.push_back(std::move(cw));
-    size_weights_.push_back(std::move(sw));
-  }
+  scenario.validate();
+  for (const TrafficPhase& ph : phases_) total_sessions_ += ph.sessions;
 }
 
 double TrafficGenerator::exp_draw(double mean) {
@@ -150,13 +89,16 @@ double TrafficGenerator::exp_draw(double mean) {
 }
 
 void TrafficGenerator::enter_phase(std::size_t idx) {
-  const TrafficPhase& ph = scenario_.phases[idx];
-  interarrival_mean_ = phase_interarrival_[idx];
+  const TrafficPhase& ph = phases_[idx];
+  interarrival_mean_ =
+      ph.model == ArrivalModel::kOpenLoop
+          ? phase_mean_service_[idx] / (service_units_ * ph.offered_load)
+          : 0.0;
   if (ph.model == ArrivalModel::kClosedLoop) {
     // A fresh population: leftover pending arrivals from an earlier closed
     // phase are dropped, and the new users' first arrivals are staggered
-    // from the current virtual-clock cursor (exactly like the flat path
-    // staggers from t = 0).
+    // across one mean think (or service) interval from the current
+    // virtual-clock cursor, so they don't all collide.
     ready_ = {};
     const double spread =
         ph.think_cycles > 0.0 ? ph.think_cycles : phase_mean_service_[idx];
@@ -167,50 +109,31 @@ void TrafficGenerator::enter_phase(std::size_t idx) {
   phase_entered_ = true;
 }
 
-std::size_t TrafficGenerator::pick_weighted(
-    std::uint64_t total, const std::vector<std::uint32_t>& weights) {
-  // One Rng draw either way; with unit weights `total == weights.size()`,
-  // so the consumed value AND the picked index match the flat path's
-  // uniform `below(n)` bit for bit.
+template <class Mix>
+const Mix& TrafficGenerator::pick_weighted(const std::vector<Mix>& mix) {
+  // One Rng draw below the total weight; with unit weights the total is
+  // mix.size() and the picked index is the drawn value itself, a uniform
+  // `below(n)`.
+  std::uint64_t total = 0;
+  for (const Mix& m : mix) total += m.weight;
   std::uint64_t r = rng_.below(total);
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    if (r < weights[i]) return i;
-    r -= weights[i];
+  for (const Mix& m : mix) {
+    if (r < m.weight) return m;
+    r -= m.weight;
   }
-  return weights.size() - 1;  // unreachable: r < total == sum(weights)
+  return mix.back();  // unreachable: r < total == sum(weights)
 }
 
 std::optional<SessionArrival> TrafficGenerator::next() {
   if (next_id_ >= total_sessions_) return std::nullopt;
   SessionArrival a;
-  if (!scenario_.phased()) {
-    if (scenario_.model == ArrivalModel::kOpenLoop) {
-      open_clock_ += exp_draw(interarrival_mean_);
-      a.at_cycles = open_clock_;
-    } else {
-      if (ready_.empty()) return std::nullopt;  // all users awaiting outcomes
-      const auto [at, user] = ready_.top();
-      ready_.pop();
-      a.at_cycles = at;
-      a.user = user;
-    }
-    a.id = next_id_++;
-    a.cipher = scenario_.ciphers[rng_.below(scenario_.ciphers.size())];
-    a.transaction_bytes =
-        scenario_
-            .transaction_sizes[rng_.below(scenario_.transaction_sizes.size())];
-    a.session_seed = rng_.next_u64();
-    a.resume = scenario_.resume_sessions;
-    return a;
-  }
-
-  while (phase_done_ >= scenario_.phases[phase_idx_].sessions) {
+  while (phase_done_ >= phases_[phase_idx_].sessions) {
     ++phase_idx_;
     phase_done_ = 0;
     phase_entered_ = false;
   }
   if (!phase_entered_) enter_phase(phase_idx_);
-  const TrafficPhase& ph = scenario_.phases[phase_idx_];
+  const TrafficPhase& ph = phases_[phase_idx_];
   if (ph.model == ArrivalModel::kOpenLoop) {
     open_clock_ += exp_draw(interarrival_mean_);
     a.at_cycles = open_clock_;
@@ -227,17 +150,11 @@ std::optional<SessionArrival> TrafficGenerator::next() {
   a.id = next_id_++;
   ++phase_done_;
   a.phase = static_cast<std::uint32_t>(phase_idx_);
-  a.cipher =
-      ph.cipher_mix[pick_weighted(cipher_weight_total_[phase_idx_],
-                                  cipher_weights_[phase_idx_])]
-          .cipher;
-  a.transaction_bytes =
-      ph.size_mix[pick_weighted(size_weight_total_[phase_idx_],
-                                size_weights_[phase_idx_])]
-          .bytes;
+  a.cipher = pick_weighted(ph.cipher_mix).cipher;
+  a.transaction_bytes = pick_weighted(ph.size_mix).bytes;
   a.session_seed = rng_.next_u64();
-  // The resume coin consumes a draw ONLY for a genuinely mixed fraction, so
-  // all-full and all-resumed phases stay bit-compatible with the flat path.
+  // The resume coin consumes a draw ONLY for a genuinely mixed fraction:
+  // all-full and all-resumed phases (every flat scenario) draw nothing.
   if (ph.resume_fraction >= 1.0) {
     a.resume = true;
   } else if (ph.resume_fraction > 0.0) {
@@ -277,20 +194,23 @@ void TrafficGenerator::restore(const TrafficGeneratorState& state) {
   phase_entered_ = state.phase_entered;
   ready_ = {};
   for (const auto& pending : state.ready) ready_.push(pending);
+  if (!phase_entered_ && (next_id_ > 0 || !ready_.empty())) {
+    // A flat scenario recorded before it ran as a one-phase program: that
+    // generator never entered its phase (phase_done stayed 0) and drew the
+    // closed-loop stagger at construction.  Both already happened, so the
+    // phase is entered with every arrival so far counted in it.  A program
+    // state is never like this — next() enters the phase before it draws.
+    phase_done_ = static_cast<std::size_t>(next_id_);
+    phase_entered_ = true;
+  }
 }
 
 void TrafficGenerator::on_outcome(const SessionArrival& arrival,
                                   double completion_cycles, bool dropped) {
-  if (!scenario_.phased()) {
-    if (scenario_.model != ArrivalModel::kClosedLoop) return;
-    const double base = dropped ? arrival.at_cycles : completion_cycles;
-    ready_.emplace(base + exp_draw(scenario_.think_cycles), arrival.user);
-    return;
-  }
   // Feedback only drives the arrival's own phase; once the program has
   // moved on, the user population it belonged to is gone.
   if (arrival.phase != phase_idx_) return;
-  const TrafficPhase& ph = scenario_.phases[arrival.phase];
+  const TrafficPhase& ph = phases_[arrival.phase];
   if (ph.model != ArrivalModel::kClosedLoop) return;
   const double base = dropped ? arrival.at_cycles : completion_cycles;
   ready_.emplace(base + exp_draw(ph.think_cycles), arrival.user);

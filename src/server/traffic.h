@@ -13,19 +13,17 @@
 //     session when the previous one completes (plus exponential think
 //     time) — the classic benchmark-client shape.
 //
-// A scenario is either FLAT — one parameter set, each arrival drawing its
-// cipher and transaction size uniformly from the grid (by default the
-// Fig. 8 measurement grid, 1KB..32KB, crossed with the three record
-// ciphers) — or a PROGRAM: a non-empty `phases` list, usually compiled from
-// a .wsp file (src/scenario, docs/scenarios.md).  A program executes its
-// phases back to back on the virtual clock; each phase carries its own
-// arrival model, load/population, WEIGHTED cipher×size mix, resumption
-// fraction and optional fault overlay.  Per arrival the generator draws, in
-// this fixed order: arrival time, cipher, size, session seed, and — only
-// when the phase's resume_fraction is strictly between 0 and 1 — the resume
-// coin.  A single-phase program with unit weights and resume_fraction in
-// {0, 1} therefore consumes the Rng exactly like the flat path and
-// reproduces it bit for bit.
+// A scenario is a PROGRAM: a list of phases executed back to back on the
+// virtual clock, each with its own arrival model, load/population,
+// WEIGHTED cipher×size mix, resumption fraction and optional fault overlay
+// (usually compiled from a .wsp file: src/scenario, docs/scenarios.md).  A
+// FLAT scenario — one parameter set over a cipher×size grid, by default
+// the Fig. 8 measurement grid (1KB..32KB × the three record ciphers) — is
+// not a second arrival path: TrafficScenario::program() lowers it to one
+// phase with unit weights, a resume fraction of 0 or 1 and no fault
+// overlay.  Per arrival the generator draws, in this fixed order: arrival
+// time, cipher, size, session seed, and — only when the phase's
+// resume_fraction is strictly between 0 and 1 — the resume coin.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +40,7 @@ namespace wsp::server {
 enum class ArrivalModel { kOpenLoop, kClosedLoop };
 
 /// One weighted entry of a phase's cipher mix.  Weights are relative
-/// (integers >= 1); unit weights reproduce the flat path's uniform draw.
+/// (integers >= 1); unit weights draw uniformly, like a flat grid.
 struct CipherMix {
   ssl::Cipher cipher = ssl::Cipher::kRc4;
   std::uint32_t weight = 1;
@@ -109,9 +107,14 @@ struct TrafficScenario {
   /// to back.  Usually produced by the .wsp compiler (scenario::compile).
   std::vector<TrafficPhase> phases;
 
-  bool phased() const { return !phases.empty(); }
+  /// The one lowering: `phases` when non-empty, else the flat fields as one
+  /// phase — `ciphers`/`transaction_sizes` as unit-weight mixes,
+  /// `resume_sessions` as a resume fraction of 0 or 1, no fault overlay.
+  /// Everything downstream (validation, generator, engine, resume checks)
+  /// works on this list.
+  std::vector<TrafficPhase> program() const;
 
-  /// Total arrivals the scenario offers (sum of phases, or `sessions`).
+  /// Total arrivals the scenario offers (the sum over program()).
   std::size_t total_sessions() const;
 
   /// Rejects degenerate scenarios with std::invalid_argument: zero
@@ -130,9 +133,9 @@ struct SessionArrival {
   ssl::Cipher cipher = ssl::Cipher::kRc4;
   std::size_t transaction_bytes = 0;
   std::uint64_t session_seed = 0;
-  std::uint32_t phase = 0;  ///< index into scenario.phases (0 when flat)
-  /// Whether THIS session resumes (flat: the scenario flag; program: the
-  /// phase's resume_fraction, possibly a per-arrival deterministic coin).
+  std::uint32_t phase = 0;  ///< index into scenario.program()
+  /// Whether THIS session resumes: the phase's resume_fraction, possibly a
+  /// per-arrival deterministic coin.
   bool resume = false;
 };
 
@@ -140,8 +143,8 @@ struct SessionArrival {
 /// virtual-clock cursor and every pending closed-loop arrival.  Snapshotting
 /// it at a quiesce barrier and restoring into a freshly constructed
 /// generator (same scenario, same mean-service figures) resumes the arrival
-/// stream bit-exactly; the constructor-derived rate/weight tables are pure
-/// functions of the scenario and are NOT part of the state.  Serialized into
+/// stream bit-exactly; the phase list and mean-service figures are fixed
+/// at construction and are NOT part of the state.  Serialized into
 /// kCheckpoint chunks by server/record.h (docs/recovery.md).
 struct TrafficGeneratorState {
   Rng::State rng;
@@ -161,20 +164,21 @@ struct TrafficGeneratorState {
 
 class TrafficGenerator {
  public:
-  /// Flat scenarios.  `mean_service_cycles` is the scenario-mix average
-  /// session cost under the engine's pricing model; `service_units` the
-  /// number of shards.  Together they convert `offered_load` into an
-  /// arrival rate.  Throws std::logic_error if `scenario` is a program.
-  TrafficGenerator(const TrafficScenario& scenario, double mean_service_cycles,
-                   unsigned service_units);
-
-  /// Traffic programs: one pre-priced mean service figure per phase (same
-  /// order as scenario.phases; the engine computes them from each phase's
-  /// weighted mix).  Throws std::logic_error on a flat scenario or a
+  /// One pre-priced mean service figure per program phase (same order as
+  /// scenario.program(); the engine computes them from each phase's
+  /// weighted mix) and `service_units`, the number of shards: together they
+  /// convert each phase's offered_load into an arrival rate.  Throws
+  /// std::invalid_argument on an invalid scenario and std::logic_error on a
   /// length mismatch.
   TrafficGenerator(const TrafficScenario& scenario,
                    const std::vector<double>& phase_mean_service_cycles,
                    unsigned service_units);
+
+  /// One-phase shorthand: `{mean_service_cycles}` for the only phase.
+  TrafficGenerator(const TrafficScenario& scenario, double mean_service_cycles,
+                   unsigned service_units)
+      : TrafficGenerator(scenario, std::vector<double>{mean_service_cycles},
+                         service_units) {}
 
   /// Next arrival in virtual-time order; nullopt once all arrivals have
   /// been offered (or, closed loop, no user has a pending arrival —
@@ -188,41 +192,35 @@ class TrafficGenerator {
   void on_outcome(const SessionArrival& arrival, double completion_cycles,
                   bool dropped);
 
-  double interarrival_mean_cycles() const { return interarrival_mean_; }
-
   /// Snapshot of everything next()/on_outcome() mutate.  Taken BEFORE a
   /// next() call, a later restore() re-draws that same arrival first.
   TrafficGeneratorState state() const;
 
   /// Restores a snapshot taken from a generator built over the same
   /// scenario and mean-service figures; the subsequent draw sequence is
-  /// bit-identical to the original generator's.
+  /// bit-identical to the original generator's.  Also reads the state that
+  /// flat scenarios recorded before they ran as one-phase programs.
   void restore(const TrafficGeneratorState& state);
 
  private:
   double exp_draw(double mean);
   void enter_phase(std::size_t idx);
-  std::size_t pick_weighted(std::uint64_t total,
-                            const std::vector<std::uint32_t>& weights);
+  template <class Mix>
+  const Mix& pick_weighted(const std::vector<Mix>& mix);
 
-  TrafficScenario scenario_;
+  std::vector<TrafficPhase> phases_;
   Rng rng_;
   std::uint64_t next_id_ = 0;
   std::size_t total_sessions_ = 0;
   double interarrival_mean_ = 0.0;
   double open_clock_ = 0.0;
 
-  // Program state: current phase, arrivals emitted within it, and the
-  // pre-computed per-phase rate/weight tables.
+  // Current phase, arrivals emitted within it, and what sets the rates.
   std::size_t phase_idx_ = 0;
   std::size_t phase_done_ = 0;
   bool phase_entered_ = false;
   std::vector<double> phase_mean_service_;
-  std::vector<double> phase_interarrival_;
-  std::vector<std::uint64_t> cipher_weight_total_;
-  std::vector<std::uint64_t> size_weight_total_;
-  std::vector<std::vector<std::uint32_t>> cipher_weights_;
-  std::vector<std::vector<std::uint32_t>> size_weights_;
+  double service_units_ = 1.0;
 
   // Closed loop: min-heap of (ready time, user), deterministic tie-break
   // on user index.

@@ -6,12 +6,16 @@
 // CRC-valid-but-lying checkpoints (stale slab handles, tampered digests).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "golden_chaos_trace.h"
+#include "legacy_flat_closed_trace.h"
 #include "legacy_lanes8_trace.h"
 #include "server/checkpoint.h"
 #include "server/engine.h"
@@ -300,28 +304,164 @@ TEST(CheckpointLegacy, Lanes8TraceResumesBitIdenticallyToAFreshRun) {
   }
 }
 
-// Every checkpoint payload of the legacy trace, parked entries included,
-// re-encodes to the exact bytes it was decoded from: the entry codec still
-// writes the layout those recorders wrote.
-TEST(CheckpointLegacy, Lanes8CheckpointPayloadsReencodeByteIdentically) {
-  replay::ChunkReader reader(testdata::kLegacyLanes8Trace);
-  std::size_t checkpoints = 0;
+/// Every kCheckpoint chunk payload of `trace`, in order (a torn trace ends
+/// after its last whole checkpoint).
+std::vector<std::vector<std::uint8_t>> checkpoint_payloads(
+    const std::vector<std::uint8_t>& trace) {
+  std::vector<std::vector<std::uint8_t>> out;
+  replay::ChunkReader reader(trace);
   try {
     while (auto chunk = reader.next()) {
-      if (chunk->tag !=
+      if (chunk->tag ==
           static_cast<std::uint64_t>(server::RecordChunk::kCheckpoint)) {
-        continue;
+        out.push_back(chunk->payload);
       }
-      ++checkpoints;
-      std::vector<std::uint8_t> again;
-      server::encode_checkpoint(again,
-                                server::decode_checkpoint(chunk->payload));
-      EXPECT_EQ(again, chunk->payload) << "checkpoint " << checkpoints - 1;
     }
   } catch (const replay::ReplayError&) {
     // The trace is torn after its last checkpoint (it records a crash).
   }
-  EXPECT_EQ(checkpoints, testdata::kLegacyLanes8CheckpointOffsets.size());
+  return out;
+}
+
+// Every checkpoint payload of the legacy trace, parked entries included,
+// re-encodes to the exact bytes it was decoded from: the entry codec still
+// writes the layout those recorders wrote.
+TEST(CheckpointLegacy, Lanes8CheckpointPayloadsReencodeByteIdentically) {
+  const auto payloads = checkpoint_payloads(testdata::kLegacyLanes8Trace);
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    std::vector<std::uint8_t> again;
+    server::encode_checkpoint(again, server::decode_checkpoint(payloads[i]));
+    EXPECT_EQ(again, payloads[i]) << "checkpoint " << i;
+  }
+  EXPECT_EQ(payloads.size(), testdata::kLegacyLanes8CheckpointOffsets.size());
+}
+
+// The flat closed-loop fixture stores the generator state of the arrival
+// path flat scenarios had before they ran as one-phase programs: phase not
+// entered, no phase arrivals counted, the user stagger already drawn.
+TEST(CheckpointLegacy, FlatClosedLoopTraceCarriesTheFlatGeneratorState) {
+  const auto payloads = checkpoint_payloads(testdata::kLegacyFlatClosedTrace);
+  ASSERT_EQ(payloads.size(),
+            testdata::kLegacyFlatClosedCheckpointOffsets.size());
+  for (const auto& payload : payloads) {
+    const auto cp = server::decode_checkpoint(payload);
+    EXPECT_FALSE(cp.generator.phase_entered);
+    EXPECT_EQ(cp.generator.phase_done, 0u);
+    EXPECT_GT(cp.generator.next_id, 0u);
+    EXPECT_FALSE(cp.generator.ready.empty());
+    std::vector<std::uint8_t> again;
+    server::encode_checkpoint(again, cp);
+    EXPECT_EQ(again, payload) << "checkpoint " << cp.seq;
+  }
+}
+
+// Both flat legacy fixtures — open loop (lanes 8) and closed loop — resume
+// from EVERY checkpoint they hold, at 1 and 8 threads, bit-identically to a
+// fresh run of the same scenario.  A naive one-phase restore would re-enter
+// the closed-loop phase and draw the user stagger a second time.
+TEST(CheckpointLegacy, FlatTracesResumeFromEveryCheckpointAt1And8Threads) {
+  struct Fixture {
+    const std::vector<std::uint8_t>& trace;
+    server::TrafficScenario scenario;
+    server::EngineConfig config;
+  };
+  const Fixture fixtures[] = {
+      {testdata::kLegacyLanes8Trace, testdata::legacy_lanes8_scenario(),
+       testdata::legacy_lanes8_config()},
+      {testdata::kLegacyFlatClosedTrace,
+       testdata::legacy_flat_closed_scenario(),
+       testdata::legacy_flat_closed_config()},
+  };
+  for (const Fixture& f : fixtures) {
+    const auto fresh = server::Engine(f.config).run(f.scenario);
+    const auto scan = server::scan_trace_for_resume(f.trace);
+    ASSERT_FALSE(scan.checkpoints.empty());
+    for (std::size_t k = 1; k <= scan.checkpoints.size(); ++k) {
+      server::ResumeScan prefix = scan;
+      prefix.checkpoints.resize(k);
+      for (unsigned threads : {1u, 8u}) {
+        const auto result = server::resume_run(prefix, threads);
+        const auto mismatches = server::compare_reports(fresh, result.report);
+        EXPECT_TRUE(mismatches.empty())
+            << "seed " << f.scenario.seed << ", checkpoint " << k - 1
+            << ", threads " << threads << ": " << mismatches.front();
+      }
+    }
+  }
+}
+
+// --- crafted u32 fields -----------------------------------------------------
+
+/// Offset of the first byte where the encodings of `cp` and `changed`
+/// differ: the start of the one field `changed` altered.
+std::size_t field_offset(const server::EngineCheckpoint& cp,
+                         const server::EngineCheckpoint& changed) {
+  std::vector<std::uint8_t> a, b;
+  server::encode_checkpoint(a, cp);
+  server::encode_checkpoint(b, changed);
+  return static_cast<std::size_t>(
+      std::mismatch(a.begin(), a.end(), b.begin(), b.end()).first - a.begin());
+}
+
+/// The varint at `at` set to 2^32 + 3 must be kMalformed at exactly `at`,
+/// not decoded as 3.
+void expect_u32_checked(const std::vector<std::uint8_t>& payload,
+                        std::size_t at, const char* what) {
+  const auto crafted =
+      testdata::replace_varint(payload, at, (std::uint64_t{1} << 32) + 3);
+  try {
+    (void)server::decode_checkpoint(crafted);
+    FAIL() << what << " past 2^32 accepted";
+  } catch (const ReplayError& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kMalformed) << what << ": " << e.what();
+    EXPECT_EQ(e.offset(), at) << what << ": " << e.what();
+  }
+}
+
+/// The first lanes-8 checkpoint with a parked entry, and that entry's index.
+std::pair<std::vector<std::uint8_t>, std::size_t> parked_payload() {
+  for (const auto& payload : checkpoint_payloads(testdata::kLegacyLanes8Trace)) {
+    const auto cp = server::decode_checkpoint(payload);
+    for (std::size_t i = 0; i < cp.entries.size(); ++i) {
+      if (cp.entries[i].parked) return {payload, i};
+    }
+  }
+  ADD_FAILURE() << "the legacy fixture carries no parked entries";
+  return {};
+}
+
+TEST(CheckpointCrafted, ParkedPhaseIsRangeChecked) {
+  const auto [payload, i] = parked_payload();
+  const auto cp = server::decode_checkpoint(payload);
+  auto changed = cp;
+  changed.entries[i].parked_info.phase ^= 1;
+  expect_u32_checked(payload, field_offset(cp, changed), "parked phase");
+}
+
+TEST(CheckpointCrafted, ParkedHandleSlotIsRangeChecked) {
+  const auto [payload, i] = parked_payload();
+  const auto cp = server::decode_checkpoint(payload);
+  auto changed = cp;
+  changed.entries[i].parked_info.handle.slot ^= 1;
+  expect_u32_checked(payload, field_offset(cp, changed), "handle slot");
+}
+
+TEST(CheckpointCrafted, ParkedHandleGenerationIsRangeChecked) {
+  const auto [payload, i] = parked_payload();
+  const auto cp = server::decode_checkpoint(payload);
+  auto changed = cp;
+  changed.entries[i].parked_info.handle.gen ^= 1;
+  expect_u32_checked(payload, field_offset(cp, changed), "handle generation");
+}
+
+TEST(CheckpointCrafted, PendingArrivalUserIsRangeChecked) {
+  const auto payload =
+      checkpoint_payloads(testdata::kLegacyFlatClosedTrace).front();
+  const auto cp = server::decode_checkpoint(payload);
+  ASSERT_FALSE(cp.generator.ready.empty());
+  auto changed = cp;
+  changed.generator.ready.front().second ^= 1;
+  expect_u32_checked(payload, field_offset(cp, changed), "pending user");
 }
 
 // --- crash + restore --------------------------------------------------------
@@ -522,6 +662,26 @@ TEST(CheckpointResume, InputDamageRethrowsScanDamageIsTyped) {
   } catch (const ReplayError& e) {
     EXPECT_EQ(e.kind(), ErrorKind::kMalformed);
   }
+}
+
+TEST(CheckpointResume, PhaseCursorDisagreeingWithIdCursorIsMalformed) {
+  // A phase cursor past the arrivals drawn would walk the generator off the
+  // end of the program; resume rejects it typed, the engine structurally.
+  const auto scenario = crash_mix(67, 24);
+  const TornTrace torn = record_torn_trace(scenario, 1);
+  auto scan = server::scan_trace_for_resume(torn.bytes);
+  ASSERT_FALSE(scan.checkpoints.empty());
+  ASSERT_TRUE(scan.checkpoints.back().generator.phase_entered);
+  scan.checkpoints.back().generator.phase_done += 5;
+  try {
+    (void)server::resume_run(scan);
+    FAIL() << "disagreeing phase cursor accepted";
+  } catch (const ReplayError& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kMalformed);
+  }
+  server::Engine engine(engine_cfg(1));
+  EXPECT_THROW((void)engine.run(scenario, scan.checkpoints.back()),
+               std::logic_error);
 }
 
 TEST(CheckpointResume, RecorderReportsFileErrors) {

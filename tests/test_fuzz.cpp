@@ -464,10 +464,10 @@ TEST(Fuzz, StaleSlabHandlesInCheckpointsAreAlwaysTyped) {
 
 // --- run-record payload fuzzing ----------------------------------------------
 //
-// The golden chaos trace's kConfig/kCosts/kReport/kEvents payloads, mutated
-// and re-framed with valid CRCs so every mutation reaches the field-list
-// decoders: decode_run_record must return a record or throw a typed
-// replay::ReplayError, never anything else (std::bad_alloc from an
+// The golden chaos trace's kScenario/kConfig/kCosts/kReport/kEvents
+// payloads, mutated and re-framed with valid CRCs so every mutation reaches
+// the payload decoders: decode_run_record must return a record or throw a
+// typed replay::ReplayError, never anything else (std::bad_alloc from an
 // unchecked count, a silently narrowed integer that later trips a
 // logic_error, ...).
 
@@ -509,8 +509,9 @@ TEST(FuzzRecordPayload, GoldenPayloadMutationsAreTypedOrDecoded) {
   using server::RecordChunk;
   const auto& trace = testdata::kGoldenChaosTrace;
   Rng rng(906);
-  for (RecordChunk chunk : {RecordChunk::kConfig, RecordChunk::kCosts,
-                            RecordChunk::kReport, RecordChunk::kEvents}) {
+  for (RecordChunk chunk :
+       {RecordChunk::kScenario, RecordChunk::kConfig, RecordChunk::kCosts,
+        RecordChunk::kReport, RecordChunk::kEvents}) {
     const auto payload = testdata::chunk_payload(trace, chunk);
     ASSERT_FALSE(payload.empty());
     std::size_t typed = 0;

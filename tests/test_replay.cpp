@@ -322,7 +322,7 @@ TEST(ReplayRunRecord, LegacyRecordDecodesAsFlatScenarioWithoutSource) {
   const auto bytes = server::encode_run_record(rec);
   const server::RunRecord back = server::decode_run_record(bytes);
   EXPECT_TRUE(back.scenario.phases.empty());
-  EXPECT_FALSE(back.scenario.phased());
+  EXPECT_TRUE(back.scenario.phases.empty());
   EXPECT_TRUE(back.scenario_source.empty());
   EXPECT_EQ(back.scenario.sessions, 6u);
 }
@@ -597,24 +597,21 @@ TEST(ReplayCompare, EveryDeterministicFieldIsComparedAndNamed) {
 // --- crafted CRC-valid payloads --------------------------------------------
 
 /// Byte offset just past the fields `layout` spells ('v' a varint, 'd' a
-/// double), walked by hand so the layout is independent of the codec.
+/// double, 's' a string), walked by hand so the layout is independent of
+/// the codec.
 std::size_t offset_after(const std::vector<std::uint8_t>& payload,
                          std::string_view layout) {
   Cursor c(payload);
-  for (char kind : layout) kind == 'd' ? (void)c.f64() : (void)c.varint();
+  for (char kind : layout) {
+    if (kind == 'd') {
+      (void)c.f64();
+    } else if (kind == 's') {
+      (void)c.str();
+    } else {
+      (void)c.varint();
+    }
+  }
   return c.offset();
-}
-
-/// `payload` with the varint starting at byte `at` replaced by `value`.
-std::vector<std::uint8_t> replace_varint(std::vector<std::uint8_t> payload,
-                                         std::size_t at, std::uint64_t value) {
-  Cursor old(payload.data() + at, payload.size() - at);
-  old.varint();
-  std::vector<std::uint8_t> fresh;
-  replay::put_varint(fresh, value);
-  payload.erase(payload.begin() + at, payload.begin() + at + old.offset());
-  payload.insert(payload.begin() + at, fresh.begin(), fresh.end());
-  return payload;
 }
 
 /// Re-frames the golden trace with the `chunk` varint at `at` set to
@@ -624,7 +621,7 @@ void expect_malformed(RecordChunk chunk, std::size_t at, std::uint64_t value,
   const auto payload = testdata::chunk_payload(kGoldenChaosTrace, chunk);
   ASSERT_LT(at, payload.size()) << what;
   const auto bytes = testdata::with_chunk_payload(
-      kGoldenChaosTrace, chunk, replace_varint(payload, at, value));
+      kGoldenChaosTrace, chunk, testdata::replace_varint(payload, at, value));
   try {
     (void)server::decode_run_record(bytes);
     FAIL() << what << " = " << value << " accepted";
@@ -694,6 +691,54 @@ TEST(ReplayCrafted, MetaThreadCountIsRangeChecked) {
       testdata::chunk_payload(kGoldenChaosTrace, RecordChunk::kMeta);
   const std::size_t at = Cursor(meta).str().size() + 1;  // length byte + text
   expect_malformed(RecordChunk::kMeta, at, k2to32, "recorded_threads");
+}
+
+/// The golden kScenario layout up to the first phase's `users`: the flat
+/// fields (seed, sessions, model, load, users, think, the cipher and size
+/// grids, record_bytes, resume), the phase count, then the first phase's
+/// name, sessions, model and load.
+std::string layout_to_phase_users() {
+  const auto sc = server::decode_run_record(kGoldenChaosTrace).scenario;
+  return "vvvdvd" + std::string(1 + sc.ciphers.size(), 'v') +
+         std::string(1 + sc.transaction_sizes.size(), 'v') + "vvv" + "svvd";
+}
+
+TEST(ReplayCrafted, ScenarioUsersIsRangeChecked) {
+  // users = 2^32 + 3 must be rejected, not decoded as 3 users.
+  const auto scn =
+      testdata::chunk_payload(kGoldenChaosTrace, RecordChunk::kScenario);
+  expect_malformed(RecordChunk::kScenario, offset_after(scn, "vvvd"),
+                   k2to32 + 3, "users");
+}
+
+TEST(ReplayCrafted, ScenarioPhaseUsersIsRangeChecked) {
+  const auto scn =
+      testdata::chunk_payload(kGoldenChaosTrace, RecordChunk::kScenario);
+  expect_malformed(RecordChunk::kScenario,
+                   offset_after(scn, layout_to_phase_users()), k2to32 + 3,
+                   "phase users");
+}
+
+TEST(ReplayCrafted, ScenarioCipherMixWeightIsRangeChecked) {
+  // users, think, resume fraction, the mix count, the first cipher id.
+  const auto scn =
+      testdata::chunk_payload(kGoldenChaosTrace, RecordChunk::kScenario);
+  expect_malformed(RecordChunk::kScenario,
+                   offset_after(scn, layout_to_phase_users() + "vddvv"),
+                   k2to32 + 1, "cipher mix weight");
+}
+
+TEST(ReplayCrafted, ScenarioSizeMixWeightIsRangeChecked) {
+  // Past the cipher mix's (id, weight) pairs: the size count, the first
+  // size.
+  const auto sc = server::decode_run_record(kGoldenChaosTrace).scenario;
+  const std::string mix(2 * sc.phases[0].cipher_mix.size(), 'v');
+  const auto scn =
+      testdata::chunk_payload(kGoldenChaosTrace, RecordChunk::kScenario);
+  expect_malformed(RecordChunk::kScenario,
+                   offset_after(scn, layout_to_phase_users() + "vddv" + mix +
+                                         "vv"),
+                   k2to32 + 1, "size mix weight");
 }
 
 TEST(ReplayCrc32Filter, MatchesOneShotCrc) {

@@ -112,7 +112,7 @@ TEST(ScenarioCompile, LowersPhasesWithDefaultsInheritance) {
       "}\n");
   EXPECT_EQ(compiled.name, "demo");
   const server::TrafficScenario& sc = compiled.scenario;
-  ASSERT_TRUE(sc.phased());
+  ASSERT_FALSE(sc.phases.empty());
   ASSERT_EQ(sc.phases.size(), 2u);
   EXPECT_EQ(sc.seed, 99u);
   EXPECT_EQ(sc.record_bytes, 512u);
@@ -183,8 +183,9 @@ server::RunReport run_with(const server::TrafficScenario& sc,
 
 TEST(ScenarioEquivalence, OnePhaseOpenLoopMatchesFlatFig8Bitwise) {
   // The acceptance gate: the Fig. 8 grid spelled as a .wsp produces a
-  // report IDENTICAL to the legacy flat path — same Rng draws, same IEEE
-  // mean-service arithmetic, same everything.
+  // report IDENTICAL to the same grid given as a flat scenario (which the
+  // engine lowers to one phase) — same Rng draws, same IEEE mean-service
+  // arithmetic, same everything.
   const auto compiled = scenario::compile(
       "scenario \"fig8\" {\n"
       "  seed 71\n"
@@ -241,8 +242,8 @@ TEST(ScenarioEquivalence, ResumeOnMatchesFlatResumeSessionsBitwise) {
 TEST(ScenarioEquivalence, WeightedMixEqualsDuplicatedGridEntries) {
   // A weight-2 entry must consume the Rng exactly like the same entry
   // listed twice in a flat grid: pick_weighted draws below(total weight),
-  // the flat path draws below(grid size), and the cumulative walk maps the
-  // same raw draw to the same cipher/size.
+  // the lowered grid (unit weights) draws below(grid size), and the
+  // cumulative walk maps the same raw draw to the same cipher/size.
   const auto compiled = scenario::compile(
       "scenario {\n"
       "  seed 81\n"

@@ -46,13 +46,17 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}"
   # UBSan-gated suites is explicit): table indices come from shifted 6- and
   # 8-bit fields, exactly where UBSan catches a bad shift.
   ctest -R 'DesDiff|AesDiff|KatDes|KatAes' --output-on-failure
-  # The legacy lanes-8 trace fixture (also in tier1): untrusted bytes
-  # through the checkpoint decoder, and parked entries re-admitted on
-  # resume.
-  ctest -R 'CheckpointLegacy' --output-on-failure
+  # The legacy trace fixtures (also in tier1): untrusted bytes through the
+  # checkpoint decoder, parked entries (lanes 8) re-admitted and the former
+  # flat generator state (flat closed loop) restored on resume, and crafted
+  # checkpoints whose u32 fields overflow.
+  ctest -R 'CheckpointLegacy|CheckpointCrafted' --output-on-failure
+  # The engine's admission stage driven alone (no pool, no sessions)
+  # against the virtual timeline of full engine runs (also in tier1).
+  ctest -R 'AdmissionStage' --output-on-failure
   # The golden chaos trace (also in tier1): byte-exact re-encoding, replay,
-  # per-field compare coverage, crafted out-of-range payloads and the
-  # payload-level fuzzer, all through the field-list codecs.
+  # per-field compare coverage, crafted out-of-range payloads (kScenario's
+  # u32 fields included) and the payload-level fuzzer.
   ctest -R 'ReplayGolden|ReplayCompare|ReplayCrafted|FuzzRecordPayload' \
         --output-on-failure
   ctest -R 'Trace|TraceJson|Json\.|BenchFlags|BenchJson|BenchServerSchema|BenchGate' \
@@ -129,8 +133,8 @@ cmake -B "$TSAN_DIR" -S "$SRC_DIR" -DWSP_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$JOBS" \
       --target test_server test_server_faults test_server_determinism \
                test_scenario_determinism test_threadpool test_ring_arena \
-               test_checkpoint_determinism test_parallel_explore bench_server \
-               wspc replay
+               test_checkpoint_determinism test_parallel_explore test_admission \
+               bench_server wspc replay
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 
 (
@@ -138,7 +142,7 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
   # ServerScheduler includes the fault-containment tests (a poisoned task
   # racing the pump's failure accounting is the interesting interleaving);
   # ServerChaos runs the whole engine under fault injection.
-  ctest -R 'ServerScheduler|ServerEngine|ServerDeterminism|ServerSoak|ServerChaos|ServerBatch|ServerSessionFaults|ServerTable|MpscRing|ServerScaleSoak|ThreadPool|ScenarioDeterminism|CheckpointDeterminism|ParallelExplore' \
+  ctest -R 'ServerScheduler|ServerEngine|ServerDeterminism|ServerSoak|ServerChaos|ServerBatch|ServerSessionFaults|ServerTable|MpscRing|ServerScaleSoak|ThreadPool|ScenarioDeterminism|CheckpointDeterminism|ParallelExplore|AdmissionStage' \
         --output-on-failure
 )
 

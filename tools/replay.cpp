@@ -50,7 +50,7 @@ void dump_record(const server::RunRecord& rec) {
     std::printf(" %s", ssl::to_string(c));
   }
   std::printf("\n");
-  if (rec.scenario.phased()) {
+  if (!rec.scenario.phases.empty()) {
     std::printf("  program: %zu phases, %zu total sessions\n",
                 rec.scenario.phases.size(), rec.scenario.total_sessions());
     for (const server::TrafficPhase& ph : rec.scenario.phases) {
