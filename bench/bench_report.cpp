@@ -35,6 +35,10 @@
 #include <string>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>  // malloc_trim
+#endif
+
 #include "bench_util.h"
 #include "explore/space.h"
 #include "scenario/compile.h"
@@ -361,13 +365,20 @@ bench::BenchResult run_server() {
     // rings (docs/server.md §scale).  Gates memory_per_session (structural
     // bytes per live session) and data-plane throughput; shard count is
     // pinned by scale_config because determinism is per shard count.
+    // rss_mib is what the scale run itself adds to the process RSS (read
+    // with the engine still alive), not the heap earlier sections left
+    // behind; 0 when /proc/self/statm is unavailable.
+#if defined(__GLIBC__)
+    malloc_trim(0);  // hand earlier sections' freed heap back first
+#endif
+    const std::uint64_t rss_before = support::resident_set_bytes();
     server::Engine engine(bench::scale_config(cfg.threads));
     bench::append_server_metrics(r, "scale/",
                                  engine.run(bench::scale_scenario(75, 100000)));
-    // Actual process RSS next to the modeled memory_per_session: info
-    // direction (host-dependent), 0 when /proc/self/statm is unavailable.
+    const std::uint64_t rss_after = support::resident_set_bytes();
     r.cycles["scale/rss_mib"] =
-        static_cast<double>(support::resident_set_bytes()) / (1024.0 * 1024.0);
+        static_cast<double>(rss_after > rss_before ? rss_after - rss_before : 0) /
+        (1024.0 * 1024.0);
   }
   {
     // Crash-fault tolerance (docs/recovery.md): the chaos mix again, but

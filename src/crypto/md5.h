@@ -2,6 +2,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -21,7 +22,8 @@ class Md5 {
   static std::array<std::uint8_t, kDigestSize> hash(const std::vector<std::uint8_t>& data);
 
  private:
-  void process_block(const std::uint8_t* block);
+  /// Runs the compression function over `n` whole 64-byte blocks.
+  void compress(const std::uint8_t* blocks, std::size_t n);
 
   std::uint32_t h_[4];
   std::uint64_t total_ = 0;

@@ -315,6 +315,32 @@ void require_calibration(const ssl::PlatformCosts& rec_base,
   }
 }
 
+/// The engine config a trace's run executes under, recorded or re-run:
+/// `config` resolved by the engine (auto-shards is a property of the
+/// recording host, and a replay or resume elsewhere must pin the same
+/// count; threads clamped to >= 1) with the per-session event stream on.
+/// A re-run (replay, resume) passes its worker count as `rerun_threads`;
+/// it neither crashes nor checkpoints: the crash already happened, and the
+/// trace is evidence, not something to extend.  (crash_at_cycles and the
+/// checkpoint settings are never serialized, so clearing them guards
+/// callers that hand-build a RunRecord or ResumeScan.)
+EngineConfig trace_config(EngineConfig config, unsigned rerun_threads = 0) {
+  if (rerun_threads > 0) {
+    config.threads = rerun_threads;
+    config.faults.crash_at_cycles = 0.0;
+    config.checkpoint_every = 0.0;
+    config.checkpoint_sink = nullptr;
+  }
+  config.record_events = true;
+  return Engine(config).config();
+}
+
+/// A re-run's worker count: the override, else the recorded count.
+unsigned replay_threads(const RunRecord& record, unsigned threads_override) {
+  return threads_override > 0 ? threads_override
+                              : std::max(1u, record.recorded_threads);
+}
+
 }  // namespace
 
 RunRecord record_run(const EngineConfig& config,
@@ -322,16 +348,11 @@ RunRecord record_run(const EngineConfig& config,
                      std::string scenario_source) {
   RunRecord rec;
   rec.git_rev = WSP_GIT_REV;
-  rec.recorded_threads = std::max(1u, config.threads);
+  rec.config = trace_config(config);
+  rec.recorded_threads = rec.config.threads;
   rec.scenario = scenario;
   rec.scenario_source = std::move(scenario_source);
-  rec.config = config;
-  rec.config.record_events = true;
   Engine engine(rec.config);
-  // Store the RESOLVED config: auto-shards (shards == 0) is a property of
-  // the recording host, and a replay elsewhere must pin the same count.
-  rec.config = engine.config();
-  rec.config.record_events = true;
   rec.report = engine.run(scenario);
   return rec;
 }
@@ -433,11 +454,8 @@ std::vector<std::string> compare_reports(const RunReport& want,
 
 ReplayResult replay_run(const RunRecord& record, unsigned threads_override) {
   ReplayResult result;
-  EngineConfig cfg = record.config;
-  cfg.record_events = true;
-  cfg.threads =
-      threads_override > 0 ? threads_override : record.recorded_threads;
-  Engine engine(cfg);
+  Engine engine(
+      trace_config(record.config, replay_threads(record, threads_override)));
   result.report = engine.run(record.scenario);
   result.mismatches = compare_reports(record.report, result.report);
   return result;
@@ -467,15 +485,12 @@ RunRecorder::RunRecorder(const EngineConfig& config,
                          const TrafficScenario& scenario,
                          std::string scenario_source, const std::string& path)
     : path_(path) {
-  // Resolve exactly like record_run: auto-shards (shards == 0) is a property
-  // of the recording host, and a resume elsewhere must pin the same count.
-  resolved_ = Engine(config).config();
-  resolved_.record_events = true;
+  resolved_ = trace_config(config);
   tee_ = std::make_unique<Tee>(path);
   writer_ = std::make_unique<replay::ChunkWriter>(*tee_);
   RunRecord inputs;
   inputs.git_rev = WSP_GIT_REV;
-  inputs.recorded_threads = std::max(1u, resolved_.threads);
+  inputs.recorded_threads = resolved_.threads;
   inputs.scenario = scenario;
   inputs.scenario_source = std::move(scenario_source);
   inputs.config = resolved_;
@@ -599,22 +614,13 @@ ResumeScan scan_trace_for_resume(const std::vector<std::uint8_t>& bytes) {
 
 ReplayResult resume_run(const ResumeScan& scan, unsigned threads_override) {
   ReplayResult result;
-  EngineConfig cfg = scan.record.config;
-  cfg.record_events = true;
-  cfg.threads =
-      threads_override > 0 ? threads_override : scan.record.recorded_threads;
-  // A resumed run neither re-crashes nor re-checkpoints: the crash already
-  // happened, and the torn trace is evidence, not something to extend.
-  // (crash_at_cycles is never serialized, so these are belt-and-braces for
-  // callers that hand-build a ResumeScan.)
-  cfg.faults.crash_at_cycles = 0.0;
-  cfg.checkpoint_every = 0.0;
-  cfg.checkpoint_sink = nullptr;
+  Engine engine(trace_config(scan.record.config,
+                             replay_threads(scan.record, threads_override)));
+  // Per-phase fault overlays carry their own crash time: clear it too.
   TrafficScenario scenario = scan.record.scenario;
   for (TrafficPhase& ph : scenario.phases) {
     if (ph.faults) ph.faults->crash_at_cycles = 0.0;
   }
-  Engine engine(cfg);
   if (scan.checkpoints.empty()) {
     // Nothing usable survived: restart from the beginning.  Resume is
     // always possible; checkpoints only buy back the work.

@@ -1,5 +1,7 @@
 #include "ssl/ssl.h"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "support/trace.h"
@@ -59,6 +61,9 @@ struct SecureChannel::Impl {
   // a channel of another cipher does not carry them).
   std::unique_ptr<aes::KeySchedule> aes_ks_cache;
   std::unique_ptr<des::TripleKeySchedule> des3_ks_cache;
+  // The keyed MAC, likewise derived on first use: a resumed session never
+  // seals on its server_write channel.
+  std::unique_ptr<HmacSha1> mac_cache;
 
   const aes::KeySchedule& cached_aes_ks() {
     if (!aes_ks_cache) {
@@ -77,21 +82,27 @@ struct SecureChannel::Impl {
     return *des3_ks_cache;
   }
 
-  std::vector<std::uint8_t> mac_input(std::uint64_t sequence,
-                                      const std::vector<std::uint8_t>& payload) {
-    std::vector<std::uint8_t> in;
-    for (int i = 7; i >= 0; --i) in.push_back(static_cast<std::uint8_t>(sequence >> (8 * i)));
-    in.push_back(0x17);  // application-data type
-    in.push_back(static_cast<std::uint8_t>(payload.size() >> 8));
-    in.push_back(static_cast<std::uint8_t>(payload.size()));
-    in.insert(in.end(), payload.begin(), payload.end());
-    return in;
+  const HmacSha1& cached_mac() {
+    if (!mac_cache) mac_cache = std::make_unique<HmacSha1>(mac_key);
+    return *mac_cache;
   }
 
-  std::vector<std::uint8_t> encrypt(const std::vector<std::uint8_t>& plain) {
+  /// The record MAC: HMAC-SHA1 over the 11-byte header (8-byte sequence
+  /// number, application-data type, 2-byte length) followed by the payload.
+  HmacSha1::Tag record_mac(std::uint64_t sequence, const std::uint8_t* payload,
+                           std::size_t n) {
+    std::uint8_t header[11];
+    for (int i = 0; i < 8; ++i) header[i] = static_cast<std::uint8_t>(sequence >> (56 - 8 * i));
+    header[8] = 0x17;  // application-data type
+    header[9] = static_cast<std::uint8_t>(n >> 8);
+    header[10] = static_cast<std::uint8_t>(n);
+    return cached_mac().mac(header, sizeof header, payload, n);
+  }
+
+  std::vector<std::uint8_t> encrypt(std::vector<std::uint8_t> plain) {
     switch (cipher) {
       case Cipher::kTripleDesCbc: {
-        auto out = cbc_pad(plain, 8);
+        auto out = cbc_pad(std::move(plain), 8);
         const std::uint64_t residue = des::encrypt_cbc_3des(
             out.data(), out.data(), out.size(), cached_des3_ks(), des::load_be64(iv_enc.data()));
         des::store_be64(residue, iv_enc.data());  // CBC residue chaining
@@ -100,13 +111,14 @@ struct SecureChannel::Impl {
       case Cipher::kAes128Cbc: {
         std::array<std::uint8_t, 16> aiv{};
         std::copy(iv_enc.begin(), iv_enc.begin() + 16, aiv.begin());
-        const auto out = aes::encrypt_cbc(cbc_pad(plain, 16), cached_aes_ks(), aiv);
+        const auto out = aes::encrypt_cbc(cbc_pad(std::move(plain), 16), cached_aes_ks(), aiv);
         iv_enc.assign(out.end() - 16, out.end());
         return out;
       }
       case Cipher::kRc4: {
         if (!rc4_enc) rc4_enc = std::make_unique<Rc4>(cipher_key);
-        return rc4_enc->process(plain);
+        rc4_enc->process(plain.data(), plain.size());
+        return plain;
       }
     }
     throw std::logic_error("ssl: bad cipher");
@@ -163,16 +175,17 @@ SecureChannel::SecureChannel(Cipher cipher, std::vector<std::uint8_t> cipher_key
 
 std::vector<std::uint8_t> SecureChannel::seal(const std::vector<std::uint8_t>& payload) {
   WSP_TRACE_SPAN("ssl.record", "seal");
-  std::vector<std::uint8_t> plain = payload;
+  std::vector<std::uint8_t> plain;
+  plain.reserve(payload.size() + Sha1::kDigestSize + 16);  // tag + CBC padding
+  plain.assign(payload.begin(), payload.end());
   {
     WSP_TRACE_SPAN("ssl.record", "seal/mac");
-    const auto mac =
-        hmac_sha1(impl_->mac_key, impl_->mac_input(impl_->seq_out, payload));
+    const auto mac = impl_->record_mac(impl_->seq_out, payload.data(), payload.size());
     ++impl_->seq_out;
     plain.insert(plain.end(), mac.begin(), mac.end());
   }
   WSP_TRACE_SPAN("ssl.record", "seal/encrypt");
-  return impl_->encrypt(plain);
+  return impl_->encrypt(std::move(plain));
 }
 
 std::vector<std::uint8_t> SecureChannel::open(const std::vector<std::uint8_t>& record) {
@@ -184,13 +197,14 @@ std::vector<std::uint8_t> SecureChannel::open(const std::vector<std::uint8_t>& r
   }
   if (plain.size() < Sha1::kDigestSize) throw std::runtime_error("ssl: short record");
   WSP_TRACE_SPAN("ssl.record", "open/mac");
-  const std::vector<std::uint8_t> payload(plain.begin(),
-                                          plain.end() - Sha1::kDigestSize);
-  const std::vector<std::uint8_t> mac(plain.end() - Sha1::kDigestSize, plain.end());
-  const auto expect = hmac_sha1(impl_->mac_key, impl_->mac_input(impl_->seq_in, payload));
+  const std::size_t n = plain.size() - Sha1::kDigestSize;
+  const auto expect = impl_->record_mac(impl_->seq_in, plain.data(), n);
   ++impl_->seq_in;
-  if (!ct::equal(mac, expect)) throw std::runtime_error("ssl: MAC verification failed");
-  return payload;
+  if (!ct::equal(plain.data() + n, expect.data(), expect.size())) {
+    throw std::runtime_error("ssl: MAC verification failed");
+  }
+  plain.resize(n);
+  return plain;
 }
 
 std::vector<std::uint8_t> kdf_ssl3(const std::vector<std::uint8_t>& secret,
@@ -198,13 +212,17 @@ std::vector<std::uint8_t> kdf_ssl3(const std::vector<std::uint8_t>& secret,
                                    const std::vector<std::uint8_t>& r2,
                                    std::size_t out_len) {
   std::vector<std::uint8_t> out;
+  out.reserve(out_len + Md5::kDigestSize);
   int round = 0;
   while (out.size() < out_len) {
     ++round;
     Sha1 inner;
-    const std::vector<std::uint8_t> salt(static_cast<std::size_t>(round),
-                                         static_cast<std::uint8_t>('A' + round - 1));
-    inner.update(salt);
+    // Round r salts with r copies of the r-th letter: 'A', 'BB', 'CCC', ...
+    std::array<std::uint8_t, 16> salt;
+    salt.fill(static_cast<std::uint8_t>('A' + round - 1));
+    for (int left = round; left > 0; left -= static_cast<int>(salt.size())) {
+      inner.update(salt.data(), std::min(static_cast<std::size_t>(left), salt.size()));
+    }
     inner.update(secret);
     inner.update(r1);
     inner.update(r2);

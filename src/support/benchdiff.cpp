@@ -37,8 +37,9 @@ const std::vector<ToleranceRule>& default_tolerance_table() {
       // makespan, so any drift means the barrier cadence changed.
       {"*/checkpoints", Direction::kExact, 0.0},
       // Actual process RSS next to the modeled per-session bytes: genuinely
-      // host-dependent (allocator, page size, what ran before), so it is
-      // tracked but never gated.
+      // host-dependent (allocator arenas, page size).  Even as the scale
+      // run's own RSS delta it spreads from 19 to 48 MiB around a 29 MiB
+      // mode across runs, so it is tracked but never gated.
       {"*/rss_mib", Direction::kInfo, 0.0},
       // The headline server metrics.
       {"*/throughput_per_gcycle", Direction::kHigherBetter, 5.0},

@@ -3,7 +3,9 @@
 #include "crypto/hmac.h"
 #include "crypto/md5.h"
 #include "crypto/sha1.h"
+#include "hash_reference.h"
 #include "support/hex.h"
+#include "support/random.h"
 
 namespace wsp {
 namespace {
@@ -82,6 +84,103 @@ TEST(HmacMd5, Rfc2202Vectors) {
 TEST(Hmac, DifferentKeysDiffer) {
   const auto d = bytes_of("payload");
   EXPECT_NE(hmac_sha1(bytes_of("k1"), d), hmac_sha1(bytes_of("k2"), d));
+}
+
+// --- Differential checks against the specification-shaped references -------
+// (hash_reference.h).  Lengths 0..300 cover every padding edge: 55/56 bytes
+// (the length field just fits / spills into a second block), 63/64, 119/120.
+
+template <typename Hash>
+ref::Bytes lib_hash(const ref::Bytes& m) {
+  const auto d = Hash::hash(m);
+  return ref::Bytes(d.begin(), d.end());
+}
+
+template <typename Hash>
+void check_every_length(ref::Bytes (*reference)(const ref::Bytes&), std::uint64_t seed) {
+  Rng rng(seed);
+  for (std::size_t n = 0; n <= 300; ++n) {
+    const auto m = rng.bytes(n);
+    ASSERT_EQ(to_hex(lib_hash<Hash>(m)), to_hex(reference(m))) << "length " << n;
+  }
+}
+
+/// The same messages fed through update() in random pieces (empty pieces
+/// included) must give the one-shot digest.
+template <typename Hash>
+void check_random_splits(ref::Bytes (*reference)(const ref::Bytes&), std::uint64_t seed) {
+  Rng rng(seed);
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto m = rng.bytes(rng.below(400));
+    Hash ctx;
+    std::size_t off = 0;
+    while (off < m.size()) {
+      const std::size_t take = std::min<std::size_t>(rng.below(140), m.size() - off);
+      ctx.update(m.data() + off, take);
+      off += take;
+    }
+    const auto d = ctx.digest();
+    ASSERT_EQ(to_hex(d.data(), d.size()), to_hex(reference(m))) << "length " << m.size();
+  }
+}
+
+TEST(Sha1Diff, EveryLengthUpTo300MatchesReference) {
+  check_every_length<Sha1>(ref::sha1, 1801);
+}
+
+TEST(Sha1Diff, RandomUpdateSplitsMatchReference) {
+  check_random_splits<Sha1>(ref::sha1, 1802);
+}
+
+TEST(Md5Diff, EveryLengthUpTo300MatchesReference) {
+  check_every_length<Md5>(ref::md5, 1321);
+}
+
+TEST(Md5Diff, RandomUpdateSplitsMatchReference) {
+  check_random_splits<Md5>(ref::md5, 1322);
+}
+
+/// The keyed HMAC (midstates cached at construction) against the RFC 2104
+/// formula: keys of 0..200 bytes (past 64 they are hashed first) and
+/// messages of 0..200 bytes; every split of the message into the two spans
+/// of mac(a, b) gives the one-span tag.
+template <typename Hash>
+void check_keyed_hmac(ref::Bytes (*reference)(const ref::Bytes&), std::uint64_t seed) {
+  Rng rng(seed);
+  for (std::size_t kn = 0; kn <= 200; ++kn) {
+    const auto key = rng.bytes(kn);
+    const Hmac<Hash> keyed(key);
+    for (std::size_t mn = 0; mn <= 200; ++mn) {
+      const auto m = rng.bytes(mn);
+      const auto want = to_hex(ref::hmac(reference, key, m));
+      const auto one = keyed.mac(m.data(), m.size());
+      ASSERT_EQ(to_hex(one.data(), one.size()), want) << "key " << kn << " msg " << mn;
+      const std::size_t cut = rng.below(mn + 1);
+      const auto two = keyed.mac(m.data(), cut, m.data() + cut, mn - cut);
+      ASSERT_EQ(to_hex(two.data(), two.size()), want)
+          << "key " << kn << " msg " << mn << " split " << cut;
+    }
+  }
+}
+
+TEST(HmacDiff, KeyedSha1MatchesRfc2104Formula) {
+  check_keyed_hmac<Sha1>(ref::sha1, 2104);
+}
+
+TEST(HmacDiff, KeyedMd5MatchesRfc2104Formula) {
+  check_keyed_hmac<Md5>(ref::md5, 2105);
+}
+
+TEST(HmacDiff, VectorWrappersMatchKeyedObject) {
+  Rng rng(2106);
+  for (std::size_t kn : {0u, 20u, 64u, 65u, 80u}) {
+    const auto key = rng.bytes(kn);
+    const auto m = rng.bytes(97);
+    const auto s = HmacSha1(key).mac(m.data(), m.size());
+    const auto d = HmacMd5(key).mac(m.data(), m.size());
+    EXPECT_EQ(hmac_sha1(key, m), std::vector<std::uint8_t>(s.begin(), s.end()));
+    EXPECT_EQ(hmac_md5(key, m), std::vector<std::uint8_t>(d.begin(), d.end()));
+  }
 }
 
 }  // namespace

@@ -80,6 +80,23 @@ TEST(SslCtCompare, MacOnlyForgeryRejected) {
   EXPECT_THROW(hs.client_write.open(wire), std::runtime_error);
 }
 
+// Every byte of the tag counts: under RC4 the record's last 20 wire bytes
+// map 1:1 onto the HMAC-SHA1 tag, and flipping any one of them (each on a
+// fresh channel, so the keystream and sequence number line up) must make
+// the in-place tag check fail; the untouched record still opens.
+TEST(SslCtCompare, FlippingAnyTagByteFailsOpen) {
+  const std::vector<std::uint8_t> key(16, 0x21), mac(20, 0x43), payload(300, 0x65);
+  for (std::size_t i = 0; i < 20; ++i) {
+    ssl::SecureChannel ch(Cipher::kRc4, key, mac, {});
+    auto wire = ch.seal(payload);
+    ASSERT_EQ(wire.size(), payload.size() + 20);
+    wire[payload.size() + i] ^= 0x10;
+    EXPECT_THROW(ch.open(wire), std::runtime_error) << "tag byte " << i;
+  }
+  ssl::SecureChannel ch(Cipher::kRc4, key, mac, {});
+  EXPECT_EQ(ch.open(ch.seal(payload)), payload);
+}
+
 TEST(SslCipherProfile, MatchesSuiteKeySizes) {
   EXPECT_EQ(ssl::cipher_profile(Cipher::kTripleDesCbc).key_len, 24u);
   EXPECT_EQ(ssl::cipher_profile(Cipher::kTripleDesCbc).iv_len, 8u);
