@@ -16,12 +16,20 @@ Rc4::Rc4(const std::vector<std::uint8_t>& key) {
 }
 
 void Rc4::process(std::uint8_t* data, std::size_t n) {
+  // i and j live in locals: `data` may alias the members, so stores through
+  // it would otherwise force a reload of both on every byte.
+  std::uint8_t i = i_, j = j_;
   for (std::size_t k = 0; k < n; ++k) {
-    i_ = static_cast<std::uint8_t>(i_ + 1);
-    j_ = static_cast<std::uint8_t>(j_ + s_[i_]);
-    std::swap(s_[i_], s_[j_]);
-    data[k] ^= s_[static_cast<std::uint8_t>(s_[i_] + s_[j_])];
+    i = static_cast<std::uint8_t>(i + 1);
+    const std::uint8_t si = s_[i];
+    j = static_cast<std::uint8_t>(j + si);
+    const std::uint8_t sj = s_[j];
+    s_[i] = sj;
+    s_[j] = si;
+    data[k] ^= s_[static_cast<std::uint8_t>(si + sj)];
   }
+  i_ = i;
+  j_ = j;
 }
 
 std::vector<std::uint8_t> Rc4::process(const std::vector<std::uint8_t>& data) {

@@ -1,231 +1,114 @@
 #include "server/checkpoint.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <type_traits>
 
 #include "server/field_codec.h"
 
 namespace wsp::server {
 
-using replay::Cursor;
 using replay::ErrorKind;
 using replay::ReplayError;
-using replay::put_double;
-using replay::put_varint;
-using replay::put_zigzag;
 
-namespace {
-
-[[noreturn]] void malformed(const Cursor& c, const std::string& detail) {
-  server::malformed(c.offset(), detail);
+void put_session(std::vector<std::uint8_t>& out, std::uint64_t& prev_id,
+                 const CheckpointEntry& e) {
+  put_key(out, prev_id, e.event);
+  FieldWriter write{out};
+  write("parked", e.parked);
+  if (!e.parked) {
+    SessionEvent::for_each_outcome_field(write, e.event);
+    return;
+  }
+  const ParkedSession& p = e.parked_info;
+  write("parked phase", p.phase);
+  write("parked cipher", p.cipher);
+  write("parked transaction bytes", p.transaction_bytes);
+  write("parked session seed", p.session_seed);
+  write("parked resume", p.resume);
+  write("parked handle slot", p.handle.slot);
+  write("parked handle generation", p.handle.gen);
 }
 
-double get_finite(Cursor& c, const char* name) {
-  const double v = c.f64();
-  if (!std::isfinite(v)) malformed(c, std::string(name) + " is not finite");
-  return v;
+void get_session(replay::Cursor& c, std::uint64_t& prev_id,
+                 CheckpointEntry& e) {
+  get_key(c, prev_id, e.event);
+  FieldReader read{c};
+  read("parked", e.parked);
+  if (!e.parked) {
+    SessionEvent::for_each_outcome_field(read, e.event);
+    return;
+  }
+  ParkedSession& p = e.parked_info;
+  read("parked phase", p.phase);
+  read("parked cipher", p.cipher);
+  read("parked transaction bytes", p.transaction_bytes);
+  read("parked session seed", p.session_seed);
+  read("parked resume", p.resume);
+  read("parked handle slot", p.handle.slot);
+  read("parked handle generation", p.handle.gen);
 }
-
-}  // namespace
 
 void encode_checkpoint(std::vector<std::uint8_t>& out,
                        const EngineCheckpoint& cp) {
-  put_varint(out, cp.seq);
-  put_double(out, cp.virtual_now);
-  put_varint(out, cp.offered);
-  put_varint(out, cp.shed);
-  put_varint(out, cp.degrade_enters);
-  put_varint(out, cp.degraded ? 1 : 0);
-  put_double(out, cp.makespan_cycles);
-  put_varint(out, cp.peak_sessions);
-  put_double(out, cp.platform_cycles_base);
-  put_double(out, cp.platform_cycles_optimized);
-
-  put_varint(out, cp.shards.size());
-  for (const CheckpointShard& sh : cp.shards) {
-    put_double(out, sh.busy_until);
-    put_varint(out, sh.admitted);
-    put_varint(out, sh.dropped);
-    put_varint(out, sh.peak_virtual_depth);
-    put_varint(out, sh.events_digest);
-    put_varint(out, sh.completions.size());
-    for (const double at : sh.completions) put_double(out, at);
-  }
-
-  put_varint(out, cp.latencies.size());
-  for (const double lat : cp.latencies) put_double(out, lat);
-
-  put_varint(out, cp.entries.size());
-  std::int64_t prev_id = 0;  // ids ascend in arrival order; delta-code them
-  for (const CheckpointEntry& e : cp.entries) {
-    put_zigzag(out, static_cast<std::int64_t>(e.event.id) - prev_id);
-    prev_id = static_cast<std::int64_t>(e.event.id);
-    put_varint(out, e.event.shard);
-    put_varint(out, e.parked ? 1 : 0);
-    if (e.parked) {
-      put_varint(out, e.parked_info.phase);
-      put_varint(out, static_cast<std::uint64_t>(e.parked_info.cipher));
-      put_varint(out, e.parked_info.transaction_bytes);
-      put_varint(out, e.parked_info.session_seed);
-      put_varint(out, e.parked_info.resume ? 1 : 0);
-      put_varint(out, e.parked_info.handle.slot);
-      put_varint(out, e.parked_info.handle.gen);
-    } else {
-      SessionEvent::for_each_outcome_field(FieldWriter{out}, e.event);
-    }
-  }
-
-  const TrafficGeneratorState& g = cp.generator;
-  for (int i = 0; i < 4; ++i) put_varint(out, g.rng.s[i]);
-  put_varint(out, g.next_id);
-  put_double(out, g.interarrival_mean);
-  put_double(out, g.open_clock);
-  put_varint(out, g.phase_idx);
-  put_varint(out, g.phase_done);
-  put_varint(out, g.phase_entered ? 1 : 0);
-  put_varint(out, g.ready.size());
-  for (const auto& [at, user] : g.ready) {
-    put_double(out, at);
-    put_varint(out, user);
-  }
+  put_fields(out, cp);
 }
 
 EngineCheckpoint decode_checkpoint(const std::vector<std::uint8_t>& payload) {
-  Cursor c(payload);
+  replay::Cursor c(payload);
   EngineCheckpoint cp;
-  cp.seq = c.varint();
-  cp.virtual_now = get_finite(c, "virtual_now");
-  cp.offered = c.varint();
-  cp.shed = c.varint();
-  cp.degrade_enters = c.varint();
-  cp.degraded = get_flag(c, "degraded");
-  cp.makespan_cycles = get_finite(c, "makespan_cycles");
-  cp.peak_sessions = c.varint();
-  cp.platform_cycles_base = get_finite(c, "platform_cycles_base");
-  cp.platform_cycles_optimized = get_finite(c, "platform_cycles_optimized");
-
-  const std::uint64_t shards = c.varint();
-  if (shards == 0 || shards > 64) {
-    malformed(c, "shard count " + std::to_string(shards) +
-                     " outside [1, 64]");
+  get_fields(c, cp);
+  if (!c.done()) {
+    malformed(c.offset(), "trailing bytes after checkpoint payload");
   }
-  cp.shards.resize(static_cast<std::size_t>(shards));
-  for (CheckpointShard& sh : cp.shards) {
-    sh.busy_until = get_finite(c, "busy_until");
-    sh.admitted = c.varint();
-    sh.dropped = c.varint();
-    sh.peak_virtual_depth = c.varint();
-    sh.events_digest = c.varint();
-    const std::uint64_t pending = c.varint();
-    if (pending > sh.admitted) {
-      malformed(c, "shard has more pending completions than admissions");
-    }
-    sh.completions.reserve(static_cast<std::size_t>(pending));
-    for (std::uint64_t i = 0; i < pending; ++i) {
-      sh.completions.push_back(get_finite(c, "completion time"));
-    }
-  }
-
-  const std::uint64_t latencies = c.varint();
-  if (latencies > payload.size()) {
-    // Every latency costs >= 8 payload bytes; a count beyond the payload
-    // size is corrupt, and rejecting it here keeps the reserve bounded.
-    malformed(c, "latency count exceeds payload size");
-  }
-  cp.latencies.reserve(static_cast<std::size_t>(latencies));
-  for (std::uint64_t i = 0; i < latencies; ++i) {
-    cp.latencies.push_back(get_finite(c, "latency"));
-  }
-
-  const std::uint64_t entries = c.varint();
-  if (entries > payload.size()) {
-    malformed(c, "entry count exceeds payload size");
-  }
-  cp.entries.reserve(static_cast<std::size_t>(entries));
-  std::int64_t prev_id = 0;
-  for (std::uint64_t i = 0; i < entries; ++i) {
-    CheckpointEntry e;
-    const std::int64_t id = prev_id + c.zigzag();
-    if (id < 0) malformed(c, "negative session id after delta decode");
-    prev_id = id;
-    e.event.id = static_cast<std::uint64_t>(id);
-    const std::uint64_t shard = c.varint();
-    if (shard >= cp.shards.size()) {
-      malformed(c, "entry shard index out of range");
-    }
-    e.event.shard = static_cast<std::uint32_t>(shard);
-    e.parked = get_flag(c, "parked");
-    if (e.parked) {
-      e.parked_info.phase = get_u32(c, "parked phase");
-      e.parked_info.cipher = get_cipher(c);
-      e.parked_info.transaction_bytes = c.varint();
-      if (e.parked_info.transaction_bytes == 0) {
-        malformed(c, "parked session with zero transaction bytes");
-      }
-      e.parked_info.session_seed = c.varint();
-      e.parked_info.resume = get_flag(c, "resume");
-      e.parked_info.handle.slot = get_u32(c, "parked handle slot");
-      e.parked_info.handle.gen = get_u32(c, "parked handle generation");
-      if ((e.parked_info.handle.gen & 1u) == 0) {
-        // A live slab handle's generation is odd by construction
-        // (support/arena.h).  An even or zero generation means the
-        // checkpoint references a freed/stale slot — the handle-hygiene
-        // violation the fuzzer drives at this decoder.
-        malformed(c, "parked session handle generation " +
-                         std::to_string(e.parked_info.handle.gen) +
-                         " is stale (live handles are odd)");
-      }
-    } else {
-      SessionEvent::for_each_outcome_field(FieldReader{c}, e.event);
-    }
-    cp.entries.push_back(std::move(e));
-  }
-
-  TrafficGeneratorState& g = cp.generator;
-  for (int i = 0; i < 4; ++i) g.rng.s[i] = c.varint();
-  if (g.rng.s[0] == 0 && g.rng.s[1] == 0 && g.rng.s[2] == 0 &&
-      g.rng.s[3] == 0) {
-    malformed(c, "generator rng state is all-zero (xoshiro dead state)");
-  }
-  g.next_id = c.varint();
-  g.interarrival_mean = get_finite(c, "interarrival_mean");
-  g.open_clock = get_finite(c, "open_clock");
-  g.phase_idx = c.varint();
-  g.phase_done = c.varint();
-  g.phase_entered = get_flag(c, "phase_entered");
-  const std::uint64_t ready = c.varint();
-  if (ready > payload.size()) {
-    malformed(c, "pending-arrival count exceeds payload size");
-  }
-  g.ready.reserve(static_cast<std::size_t>(ready));
-  double prev_at = -1.0;
-  for (std::uint64_t i = 0; i < ready; ++i) {
-    const double at = get_finite(c, "pending arrival time");
-    const unsigned user = get_u32(c, "pending arrival user");
-    if (at < prev_at) {
-      malformed(c, "pending arrivals out of ascending order");
-    }
-    prev_at = at;
-    g.ready.emplace_back(at, user);
-  }
-
-  if (!c.done()) malformed(c, "trailing bytes after checkpoint payload");
   validate_checkpoint(cp);
   return cp;
 }
+
+namespace {
+
+/// Names the first visited double that is not finite and >= 0.  Every
+/// double a checkpoint holds is a virtual time, a cycle count or a mean.
+struct FirstBadDouble {
+  const char*& bad;
+
+  template <class T>
+  void operator()(const char* name, const T& v) const {
+    if constexpr (std::is_same_v<T, double>) {
+      if (!bad && !(std::isfinite(v) && v >= 0.0)) bad = name;
+    } else if constexpr (FieldListed<T>) {
+      T::for_each_field(*this, v);
+    } else if constexpr (kVector<T>) {
+      for (const auto& e : v) (*this)(name, e);
+    } else if constexpr (requires { v.first; }) {
+      (*this)(name, v.first);
+    }
+  }
+};
+
+}  // namespace
 
 void validate_checkpoint(const EngineCheckpoint& cp) {
   auto reject = [](const std::string& detail) {
     throw ReplayError(ErrorKind::kMalformed, 0, "checkpoint: " + detail);
   };
 
+  if (cp.shards.empty() || cp.shards.size() > 64) {
+    reject("shard count " + std::to_string(cp.shards.size()) +
+           " outside [1, 64]");
+  }
+  const char* bad = nullptr;
+  EngineCheckpoint::for_each_field(FirstBadDouble{bad}, cp);
+  if (bad) reject(std::string(bad) + " is not finite and >= 0");
   std::uint64_t admitted_by_shard = 0;
   for (const CheckpointShard& sh : cp.shards) {
     admitted_by_shard += sh.admitted;
-    double prev = -1.0;
-    for (const double at : sh.completions) {
-      if (at < prev) reject("shard completions out of queue order");
-      prev = at;
+    if (sh.completions.size() > sh.admitted) {
+      reject("shard has more pending completions than admissions");
+    }
+    if (!std::is_sorted(sh.completions.begin(), sh.completions.end())) {
+      reject("shard completions out of queue order");
     }
   }
   if (admitted_by_shard != cp.entries.size()) {
@@ -240,15 +123,21 @@ void validate_checkpoint(const EngineCheckpoint& cp) {
   if (cp.admitted() > cp.offered) {
     reject("more admissions than offered arrivals");
   }
-  if (cp.generator.next_id < cp.offered) {
+  const TrafficGeneratorState& g = cp.generator;
+  if (g.next_id < cp.offered) {
     reject("generator id cursor behind the offered count");
+  }
+  if (g.rng == Rng::State{}) {
+    reject("generator rng state is all-zero (xoshiro dead state)");
+  }
+  // Ascending (time, user) order is what TrafficGenerator::restore takes
+  // as its min-heap as is.
+  if (!std::is_sorted(g.ready.begin(), g.ready.end())) {
+    reject("pending arrivals out of ascending order");
   }
 
   // Recompute each shard's digest chain from the finalized entries and the
   // per-entry admission counts; both must agree with the stored values.
-  // (decode_checkpoint already bounds shards and handle generations, but
-  // callers also hand this validator checkpoints built or mutated in
-  // memory, so the structural checks repeat here.)
   std::vector<std::uint64_t> digests(cp.shards.size(), 0);
   std::vector<std::uint64_t> admitted(cp.shards.size(), 0);
   for (const CheckpointEntry& e : cp.entries) {
@@ -256,9 +145,14 @@ void validate_checkpoint(const EngineCheckpoint& cp) {
       reject("entry shard index out of range");
     }
     if (e.parked && (e.parked_info.handle.gen & 1u) == 0) {
+      // A live slab handle's generation is odd by construction
+      // (support/arena.h): an even one references a freed or stale slot.
       reject("parked session handle generation " +
              std::to_string(e.parked_info.handle.gen) +
              " is stale (live handles are odd)");
+    }
+    if (e.parked && e.parked_info.transaction_bytes == 0) {
+      reject("parked session with zero transaction bytes");
     }
     ++admitted[e.event.shard];
     if (!e.parked) {

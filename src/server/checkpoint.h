@@ -55,6 +55,17 @@ struct CheckpointShard {
   std::uint64_t events_digest = 0;
 
   bool operator==(const CheckpointShard&) const = default;
+
+  /// kCheckpoint wire order; see SessionEvent::for_each_field.
+  template <class F, class... S>
+  static void for_each_field(F&& f, S&... s) {
+    f("busy_until", s.busy_until...);
+    f("admitted", s.admitted...);
+    f("dropped", s.dropped...);
+    f("peak_virtual_depth", s.peak_virtual_depth...);
+    f("events_digest", s.events_digest...);
+    f("completions", s.completions...);
+  }
 };
 
 /// A parked session (legacy traces only: staged but unflushed by the removed
@@ -79,7 +90,9 @@ struct ParkedSession {
 
 /// One admitted session, in arrival order: either finalized (its event
 /// counters are complete) or parked (event carries only id/shard and the
-/// parked_info says how to re-admit it).
+/// parked_info says how to re-admit it).  The one hand-coded part of a
+/// checkpoint: after the shared session key, a parked flag selects the
+/// outcome fields or the legacy parked session (checkpoint.cpp).
 struct CheckpointEntry {
   SessionEvent event;
   bool parked = false;
@@ -110,6 +123,25 @@ struct EngineCheckpoint {
 
   bool operator==(const EngineCheckpoint&) const = default;
 
+  /// kCheckpoint wire order; see SessionEvent::for_each_field.
+  template <class F, class... S>
+  static void for_each_field(F&& f, S&... s) {
+    f("seq", s.seq...);
+    f("virtual_now", s.virtual_now...);
+    f("offered", s.offered...);
+    f("shed", s.shed...);
+    f("degrade_enters", s.degrade_enters...);
+    f("degraded", s.degraded...);
+    f("makespan_cycles", s.makespan_cycles...);
+    f("peak_sessions", s.peak_sessions...);
+    f("platform_cycles_base", s.platform_cycles_base...);
+    f("platform_cycles_optimized", s.platform_cycles_optimized...);
+    f("shards", s.shards...);
+    f("latencies", s.latencies...);
+    f("entries", s.entries...);
+    f("generator", s.generator...);
+  }
+
   std::uint64_t admitted() const {
     return static_cast<std::uint64_t>(entries.size());
   }
@@ -119,16 +151,20 @@ struct EngineCheckpoint {
 void encode_checkpoint(std::vector<std::uint8_t>& out,
                        const EngineCheckpoint& cp);
 
-/// Decodes one kCheckpoint chunk payload.  Structural damage — truncation,
-/// overlong varints, trailing garbage, out-of-range enums, even slab-handle
-/// generations, impossible counts — throws a typed replay::ReplayError;
+/// Decodes one kCheckpoint chunk payload and validates it.  Structural
+/// damage — truncation, overlong varints, trailing garbage, out-of-range
+/// enums and integers, impossible counts — throws a typed
+/// replay::ReplayError, and so does every validate_checkpoint failure;
 /// nothing is clamped or guessed.
 EngineCheckpoint decode_checkpoint(const std::vector<std::uint8_t>& payload);
 
-/// Semantic validation beyond what decoding can see: entry/latency/admitted
-/// count agreement, per-shard digest chains recomputed from the finalized
-/// entries and compared against the stored values, shard indices in range,
-/// monotone completions, parked-handle hygiene.  Throws
+/// Semantic validation, the one home of every check on what the values
+/// mean: 1 to 64 shards, every double finite and >= 0, entry/latency/
+/// admitted count agreement, no more pending completions than admissions,
+/// per-shard digest chains recomputed from the finalized entries and
+/// compared against the stored values, shard indices in range, monotone
+/// completions, ascending pending arrivals, a live (non-zero) generator
+/// Rng, parked-handle hygiene and non-empty parked sessions.  Throws
 /// replay::ReplayError(kMalformed) on any violation — this is what stands
 /// between a CRC-valid-but-corrupt checkpoint and the engine.
 void validate_checkpoint(const EngineCheckpoint& cp);

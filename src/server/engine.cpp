@@ -309,6 +309,31 @@ void RunReport::sum_shards() {
   }
 }
 
+void EngineConfig::validate() const {
+  if (shards > 64) {
+    // The checkpoint codec and the trace readers stop at 64 as well.
+    throw std::invalid_argument(
+        "server: EngineConfig.shards must be <= 64 (0 = auto)");
+  }
+  if (queue_capacity == 0) {
+    throw std::invalid_argument(
+        "server: EngineConfig.queue_capacity must be > 0");
+  }
+  if (record_batch == 0) {
+    throw std::invalid_argument(
+        "server: EngineConfig.record_batch must be > 0");
+  }
+  if (rsa_bits < 512) {
+    throw std::invalid_argument(
+        "server: EngineConfig.rsa_bits must be >= 512");
+  }
+  faults.validate();
+  if (!std::isfinite(checkpoint_every) || checkpoint_every < 0.0) {
+    throw std::invalid_argument(
+        "server: EngineConfig.checkpoint_every must be finite and >= 0");
+  }
+}
+
 Engine::Engine(const EngineConfig& config) : config_(config) {
   if (config_.shards == 0) {
     // Auto: scale the data plane with the machine.  Callers that need
@@ -316,24 +341,7 @@ Engine::Engine(const EngineConfig& config) : config_(config) {
     const unsigned hw = std::thread::hardware_concurrency();
     config_.shards = std::clamp(hw == 0 ? 4u : hw, 1u, 64u);
   }
-  if (config_.queue_capacity == 0) {
-    throw std::invalid_argument(
-        "server: EngineConfig.queue_capacity must be > 0");
-  }
-  if (config_.record_batch == 0) {
-    throw std::invalid_argument(
-        "server: EngineConfig.record_batch must be > 0");
-  }
-  if (config_.rsa_bits < 512) {
-    throw std::invalid_argument(
-        "server: EngineConfig.rsa_bits must be >= 512");
-  }
-  config_.faults.validate();
-  if (!std::isfinite(config_.checkpoint_every) ||
-      config_.checkpoint_every < 0.0) {
-    throw std::invalid_argument(
-        "server: EngineConfig.checkpoint_every must be finite and >= 0");
-  }
+  config_.validate();
   config_.threads = std::max(1u, config_.threads);
 }
 

@@ -71,8 +71,9 @@ enum class Pricing { kBase, kOptimized };
 /// the server's virtual timeline never depends on re-running the ISS.
 ssl::PlatformCosts calibrated_costs(Pricing pricing);
 
-/// Validated by Engine's constructor: queue_capacity and record_batch must
-/// be positive, rsa_bits at least 512, and the fault rates well-formed —
+/// Validated by Engine's constructor (validate()): shards at most 64,
+/// queue_capacity and record_batch positive, rsa_bits at least 512, the
+/// fault rates well-formed and checkpoint_every finite and >= 0 —
 /// violations throw std::invalid_argument instead of being silently
 /// clamped.  `threads` is host-dependent anyway and is clamped to >= 1.
 struct EngineConfig {
@@ -109,6 +110,10 @@ struct EngineConfig {
   /// server/record.h's RunRecorder is the standard sink, appending
   /// kCheckpoint chunks to the run's trace.
   CheckpointSink* checkpoint_sink = nullptr;
+
+  /// Throws std::invalid_argument on an invalid config (see above); the
+  /// trace readers (server/record.h) also run it on every decoded config.
+  void validate() const;
 
   /// The fields a trace stores (RecordChunk::kConfig), in wire order.
   /// threads, record_events and the checkpoint settings are host-side or
@@ -151,9 +156,9 @@ struct SessionEvent {
   /// these lists, so a field added here reaches every one of them.
   ///
   /// SessionEvent's list is its key (id, shard) followed by the outcome a
-  /// session's pump task writes; the event and checkpoint codecs code the
-  /// key themselves (delta ids, range-checked shards) and the outcome from
-  /// for_each_outcome_field.
+  /// session's pump task writes; in the kEvents stream and the checkpoint
+  /// entries the key is delta coded (field_codec.h put_key) and the outcome
+  /// comes from for_each_outcome_field.
   template <class F, class... S>
   static void for_each_field(F&& f, S&... s) {
     f("id", s.id...);

@@ -23,128 +23,9 @@ namespace {
 using replay::Cursor;
 using replay::ErrorKind;
 using replay::ReplayError;
-using replay::put_double;
-using replay::put_string;
-using replay::put_varint;
-using replay::put_zigzag;
 
 constexpr std::uint64_t tag(RecordChunk c) {
   return static_cast<std::uint64_t>(c);
-}
-
-std::vector<std::uint8_t> encode_scenario(const TrafficScenario& s) {
-  std::vector<std::uint8_t> p;
-  put_varint(p, s.seed);
-  put_varint(p, s.sessions);
-  put_varint(p, s.model == ArrivalModel::kOpenLoop ? 0 : 1);
-  put_double(p, s.offered_load);
-  put_varint(p, s.users);
-  put_double(p, s.think_cycles);
-  put_varint(p, s.ciphers.size());
-  for (ssl::Cipher c : s.ciphers) {
-    put_varint(p, static_cast<std::uint64_t>(c));
-  }
-  put_varint(p, s.transaction_sizes.size());
-  std::uint64_t prev = 0;  // sizes ascend in practice; delta-code them
-  for (std::size_t bytes : s.transaction_sizes) {
-    put_zigzag(p, static_cast<std::int64_t>(bytes) -
-                      static_cast<std::int64_t>(prev));
-    prev = bytes;
-  }
-  put_varint(p, s.record_bytes);
-  // Appended after v1's last field; decoders treat absence as false, so
-  // pre-existing records stay readable.
-  put_varint(p, s.resume_sessions ? 1 : 0);
-  // Traffic program, appended the same way: legacy decoders skip it (chunk
-  // payloads carry their own length) and legacy records decode with zero
-  // phases, i.e. as the flat scenarios they were.
-  put_varint(p, s.phases.size());
-  for (const TrafficPhase& ph : s.phases) {
-    put_string(p, ph.name);
-    put_varint(p, ph.sessions);
-    put_varint(p, ph.model == ArrivalModel::kOpenLoop ? 0 : 1);
-    put_double(p, ph.offered_load);
-    put_varint(p, ph.users);
-    put_double(p, ph.think_cycles);
-    put_double(p, ph.resume_fraction);
-    put_varint(p, ph.cipher_mix.size());
-    for (const CipherMix& m : ph.cipher_mix) {
-      put_varint(p, static_cast<std::uint64_t>(m.cipher));
-      put_varint(p, m.weight);
-    }
-    put_varint(p, ph.size_mix.size());
-    for (const SizeMix& m : ph.size_mix) {
-      put_varint(p, m.bytes);
-      put_varint(p, m.weight);
-    }
-    put_varint(p, ph.faults ? 1 : 0);
-    if (ph.faults) put_fields(p, *ph.faults);
-  }
-  return p;
-}
-
-TrafficScenario decode_scenario(const std::vector<std::uint8_t>& payload) {
-  Cursor c(payload);
-  TrafficScenario s;
-  s.seed = c.varint();
-  s.sessions = static_cast<std::size_t>(c.varint());
-  s.model = c.varint() == 0 ? ArrivalModel::kOpenLoop : ArrivalModel::kClosedLoop;
-  s.offered_load = c.f64();
-  s.users = get_u32(c, "users");
-  s.think_cycles = c.f64();
-  s.ciphers.clear();
-  const std::uint64_t ciphers = c.varint();
-  for (std::uint64_t i = 0; i < ciphers; ++i) {
-    s.ciphers.push_back(get_cipher(c));
-  }
-  s.transaction_sizes.clear();
-  const std::uint64_t sizes = c.varint();
-  std::int64_t prev = 0;
-  for (std::uint64_t i = 0; i < sizes; ++i) {
-    prev += c.zigzag();
-    if (prev <= 0) {
-      throw ReplayError(ErrorKind::kMalformed, c.offset(),
-                        "non-positive transaction size");
-    }
-    s.transaction_sizes.push_back(static_cast<std::size_t>(prev));
-  }
-  s.record_bytes = static_cast<std::size_t>(c.varint());
-  if (!c.done()) s.resume_sessions = c.varint() != 0;
-  if (!c.done()) {
-    const std::uint64_t phases = c.varint();
-    for (std::uint64_t i = 0; i < phases; ++i) {
-      TrafficPhase ph;
-      ph.name = c.str();
-      ph.sessions = static_cast<std::size_t>(c.varint());
-      ph.model =
-          c.varint() == 0 ? ArrivalModel::kOpenLoop : ArrivalModel::kClosedLoop;
-      ph.offered_load = c.f64();
-      ph.users = get_u32(c, "phase users");
-      ph.think_cycles = c.f64();
-      ph.resume_fraction = c.f64();
-      const std::uint64_t mixes = c.varint();
-      for (std::uint64_t j = 0; j < mixes; ++j) {
-        CipherMix m;
-        m.cipher = get_cipher(c);
-        m.weight = get_u32(c, "cipher mix weight");
-        ph.cipher_mix.push_back(m);
-      }
-      const std::uint64_t sizes_n = c.varint();
-      for (std::uint64_t j = 0; j < sizes_n; ++j) {
-        SizeMix m;
-        m.bytes = static_cast<std::size_t>(c.varint());
-        if (m.bytes == 0) {
-          throw ReplayError(ErrorKind::kMalformed, c.offset(),
-                            "zero transaction size in phase mix");
-        }
-        m.weight = get_u32(c, "size mix weight");
-        ph.size_mix.push_back(m);
-      }
-      if (c.varint() != 0) get_fields(c, ph.faults.emplace());
-      s.phases.push_back(std::move(ph));
-    }
-  }
-  return s;
 }
 
 EngineConfig decode_config(const std::vector<std::uint8_t>& payload) {
@@ -166,86 +47,39 @@ EngineConfig decode_config(const std::vector<std::uint8_t>& payload) {
   return cfg;
 }
 
-std::vector<std::uint8_t> encode_events(const std::vector<SessionEvent>& evs) {
+/// Writes one `chunk` holding `fields` in order, each coded by its type
+/// (server/field_codec.h).
+template <class... Fields>
+void write_chunk(replay::ChunkWriter& writer, RecordChunk chunk,
+                 const Fields&... fields) {
   std::vector<std::uint8_t> p;
-  put_varint(p, evs.size());
-  std::int64_t prev_id = 0;  // ids ascend in arrival order; delta-code them
-  for (const SessionEvent& ev : evs) {
-    put_zigzag(p, static_cast<std::int64_t>(ev.id) - prev_id);
-    prev_id = static_cast<std::int64_t>(ev.id);
-    put_varint(p, ev.shard);
-    SessionEvent::for_each_outcome_field(FieldWriter{p}, ev);
-  }
-  return p;
-}
-
-std::vector<SessionEvent> decode_events(
-    const std::vector<std::uint8_t>& payload) {
-  Cursor c(payload);
-  const std::uint64_t count = c.varint();
-  if (count > c.remaining()) {
-    // Every event takes at least eight bytes; a larger count is corrupt,
-    // and rejecting it keeps the reserve bounded by the input.
-    malformed(0, "event count " + std::to_string(count) + " exceeds the " +
-                     std::to_string(c.remaining()) + " bytes left");
-  }
-  std::vector<SessionEvent> evs;
-  evs.reserve(static_cast<std::size_t>(count));
-  std::int64_t prev_id = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    SessionEvent& ev = evs.emplace_back();
-    prev_id += c.zigzag();
-    if (prev_id < 0) {
-      throw ReplayError(ErrorKind::kMalformed, c.offset(),
-                        "negative session id in event stream");
-    }
-    ev.id = static_cast<std::uint64_t>(prev_id);
-    FieldReader read{c};
-    read("shard", ev.shard);
-    SessionEvent::for_each_outcome_field(read, ev);
-  }
-  return evs;
+  (FieldWriter{p}("", fields), ...);
+  writer.chunk(tag(chunk), p);
 }
 
 /// The input chunks every trace starts with, whether written at once
 /// (encode_run_record) or incrementally (RunRecorder).
 void write_input_chunks(replay::ChunkWriter& writer, const RunRecord& record) {
-  {
-    std::vector<std::uint8_t> meta;
-    put_string(meta, record.git_rev);
-    put_varint(meta, record.recorded_threads);
-    writer.chunk(tag(RecordChunk::kMeta), meta);
-  }
-  writer.chunk(tag(RecordChunk::kScenario), encode_scenario(record.scenario));
+  write_chunk(writer, RecordChunk::kMeta, record.git_rev,
+              record.recorded_threads);
+  write_chunk(writer, RecordChunk::kScenario, record.scenario);
   if (!record.scenario_source.empty()) {
     // Informational: the .wsp text the scenario was compiled from.  Replay
     // runs from the lowered kScenario chunk, never from this text, so the
     // compiler cannot drift a recorded run; older binaries skip the
     // unknown tag entirely.
-    std::vector<std::uint8_t> src;
-    put_string(src, record.scenario_source);
-    writer.chunk(tag(RecordChunk::kScenarioSource), src);
+    write_chunk(writer, RecordChunk::kScenarioSource, record.scenario_source);
   }
-  {
-    std::vector<std::uint8_t> config;
-    put_fields(config, record.config);
-    writer.chunk(tag(RecordChunk::kConfig), config);
-  }
-  {
-    std::vector<std::uint8_t> costs;
-    put_fields(costs, calibrated_costs(Pricing::kBase));
-    put_fields(costs, calibrated_costs(Pricing::kOptimized));
-    writer.chunk(tag(RecordChunk::kCosts), costs);
-  }
+  write_chunk(writer, RecordChunk::kConfig, record.config);
+  write_chunk(writer, RecordChunk::kCosts, calibrated_costs(Pricing::kBase),
+              calibrated_costs(Pricing::kOptimized));
 }
 
 /// The report and event chunks that complete a trace.
 void write_outcome_chunks(replay::ChunkWriter& writer,
                           const RunReport& report) {
-  std::vector<std::uint8_t> p;
-  put_fields(p, report);
-  writer.chunk(tag(RecordChunk::kReport), p);
-  writer.chunk(tag(RecordChunk::kEvents), encode_events(report.events));
+  write_chunk(writer, RecordChunk::kReport, report);
+  write_chunk(writer, RecordChunk::kEvents, report.events);
 }
 
 /// Which chunks a decode has seen, plus the recorded calibration.
@@ -271,7 +105,8 @@ void decode_chunk(const replay::Chunk& chunk, RunRecord& rec,
       seen.meta = true;
       break;
     case RecordChunk::kScenario:
-      rec.scenario = decode_scenario(chunk.payload);
+      rec.scenario = TrafficScenario{};
+      get_fields(c, rec.scenario);
       seen.scenario = true;
       break;
     case RecordChunk::kScenarioSource:
@@ -294,7 +129,7 @@ void decode_chunk(const replay::Chunk& chunk, RunRecord& rec,
       seen.report = true;
       break;
     case RecordChunk::kEvents:
-      rec.report.events = decode_events(chunk.payload);
+      FieldReader{c}("events", rec.report.events);
       seen.events = true;
       break;
     default:
@@ -312,6 +147,19 @@ void require_calibration(const ssl::PlatformCosts& rec_base,
     throw ReplayError(ErrorKind::kMalformed, 0,
                       "recorded calibrated_costs differ from this binary's "
                       "(recorded at git_rev " + git_rev + ")");
+  }
+}
+
+/// The decoded inputs must describe a run the engine accepts: a scenario or
+/// config it would refuse (std::invalid_argument), or the auto shard count
+/// 0 (recorders store the resolved count), is damage.
+void validate_inputs(const RunRecord& rec) {
+  if (rec.config.shards == 0) malformed(0, "recorded shard count 0");
+  try {
+    rec.scenario.validate();
+    rec.config.validate();
+  } catch (const std::invalid_argument& e) {
+    malformed(0, std::string("recorded inputs: ") + e.what());
   }
 }
 
@@ -378,6 +226,7 @@ RunRecord decode_run_record(const std::vector<std::uint8_t>& bytes) {
                       "run record is missing a required chunk");
   }
   require_calibration(seen.base, seen.opt, rec.git_rev);
+  validate_inputs(rec);
   return rec;
 }
 
@@ -409,7 +258,7 @@ struct FieldCompare {
   template <class T>
   void operator()(const char* name, const T& want, const T& got) {
     const bool trailing = index++ >= required;
-    if constexpr (kListedVector<T>) {
+    if constexpr (kVector<T>) {
       scalar((std::string(name) + " count").c_str(), want.size(), got.size(),
              false);
       for (std::size_t i = 0; i < std::min(want.size(), got.size()); ++i) {
@@ -603,6 +452,7 @@ ResumeScan scan_trace_for_resume(const std::vector<std::uint8_t>& bytes) {
                       "trace ends before the input chunks are complete");
   }
   require_calibration(seen.base, seen.opt, scan.record.git_rev);
+  validate_inputs(scan.record);
   scan.complete = ended && seen.report && seen.events && scan.tear.empty();
   if (!scan.complete) {
     // Don't hand out a half-read outcome: a report without its event stream

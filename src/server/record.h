@@ -81,7 +81,9 @@ RunRecord record_run(const EngineConfig& config,
 std::vector<std::uint8_t> encode_run_record(const RunRecord& record);
 
 /// Throws replay::ReplayError on any malformed/truncated/version-skewed
-/// input; a structurally valid stream missing a required chunk is
+/// input; a structurally valid stream missing a required chunk, or whose
+/// scenario or config the engine would refuse (TrafficScenario::validate,
+/// EngineConfig::validate, an unresolved shard count of 0), is
 /// ErrorKind::kMalformed.
 RunRecord decode_run_record(const std::vector<std::uint8_t>& bytes);
 
@@ -197,8 +199,8 @@ struct ResumeScan {
 
 /// Walks a trace for crash recovery.  The input chunks MUST decode — any
 /// error before meta/scenario/config/costs are all present is rethrown
-/// (such a trace identifies no run to resume), as is a calibration
-/// mismatch against this binary.  PAST the inputs, damage is expected —
+/// (such a trace identifies no run to resume), as are a calibration
+/// mismatch against this binary and inputs decode_run_record would reject.  PAST the inputs, damage is expected —
 /// that is what a crash leaves behind — so framing/CRC/decode/validation
 /// failures stop the scan at the last good chunk and are reported in
 /// `tear` instead of thrown.  Checkpoints must arrive in seq order with

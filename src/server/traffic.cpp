@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 
 namespace wsp::server {
@@ -40,6 +41,9 @@ std::size_t TrafficScenario::total_sessions() const {
 
 void TrafficScenario::validate() const {
   check(record_bytes > 0, "record_bytes must be > 0");
+  for (const std::size_t bytes : transaction_sizes) {
+    check(bytes > 0, "transaction sizes must be > 0");
+  }
   for (const TrafficPhase& ph : program()) {
     check(ph.sessions > 0, "sessions must be > 0");
     check(!ph.cipher_mix.empty(), "empty cipher mix");
@@ -71,9 +75,9 @@ TrafficGenerator::TrafficGenerator(
     const std::vector<double>& phase_mean_service_cycles,
     unsigned service_units)
     : phases_(scenario.program()),
-      rng_(scenario.seed),
       phase_mean_service_(phase_mean_service_cycles),
-      service_units_(static_cast<double>(std::max(1u, service_units))) {
+      service_units_(static_cast<double>(std::max(1u, service_units))),
+      rng_(scenario.seed) {
   if (phase_mean_service_.size() != phases_.size()) {
     throw std::logic_error(
         "traffic: one mean service figure per phase is required");
@@ -88,9 +92,14 @@ double TrafficGenerator::exp_draw(double mean) {
   return -mean * std::log(1.0 - rng_.next_double());
 }
 
+void TrafficGenerator::push_ready(double at, unsigned user) {
+  st_.ready.emplace_back(at, user);
+  std::push_heap(st_.ready.begin(), st_.ready.end(), std::greater<>());
+}
+
 void TrafficGenerator::enter_phase(std::size_t idx) {
   const TrafficPhase& ph = phases_[idx];
-  interarrival_mean_ =
+  st_.interarrival_mean =
       ph.model == ArrivalModel::kOpenLoop
           ? phase_mean_service_[idx] / (service_units_ * ph.offered_load)
           : 0.0;
@@ -99,14 +108,14 @@ void TrafficGenerator::enter_phase(std::size_t idx) {
     // phase are dropped, and the new users' first arrivals are staggered
     // across one mean think (or service) interval from the current
     // virtual-clock cursor, so they don't all collide.
-    ready_ = {};
+    st_.ready.clear();
     const double spread =
         ph.think_cycles > 0.0 ? ph.think_cycles : phase_mean_service_[idx];
     for (unsigned u = 0; u < ph.users; ++u) {
-      ready_.emplace(open_clock_ + exp_draw(spread), u);
+      push_ready(st_.open_clock + exp_draw(spread), u);
     }
   }
-  phase_entered_ = true;
+  st_.phase_entered = true;
 }
 
 template <class Mix>
@@ -125,31 +134,32 @@ const Mix& TrafficGenerator::pick_weighted(const std::vector<Mix>& mix) {
 }
 
 std::optional<SessionArrival> TrafficGenerator::next() {
-  if (next_id_ >= total_sessions_) return std::nullopt;
+  if (st_.next_id >= total_sessions_) return std::nullopt;
   SessionArrival a;
-  while (phase_done_ >= phases_[phase_idx_].sessions) {
-    ++phase_idx_;
-    phase_done_ = 0;
-    phase_entered_ = false;
+  while (st_.phase_done >= phases_[st_.phase_idx].sessions) {
+    ++st_.phase_idx;
+    st_.phase_done = 0;
+    st_.phase_entered = false;
   }
-  if (!phase_entered_) enter_phase(phase_idx_);
-  const TrafficPhase& ph = phases_[phase_idx_];
+  if (!st_.phase_entered) enter_phase(st_.phase_idx);
+  const TrafficPhase& ph = phases_[st_.phase_idx];
   if (ph.model == ArrivalModel::kOpenLoop) {
-    open_clock_ += exp_draw(interarrival_mean_);
-    a.at_cycles = open_clock_;
+    st_.open_clock += exp_draw(st_.interarrival_mean);
+    a.at_cycles = st_.open_clock;
   } else {
-    if (ready_.empty()) return std::nullopt;  // all users awaiting outcomes
-    const auto [at, user] = ready_.top();
-    ready_.pop();
+    if (st_.ready.empty()) return std::nullopt;  // all users awaiting outcomes
+    std::pop_heap(st_.ready.begin(), st_.ready.end(), std::greater<>());
+    const auto [at, user] = st_.ready.back();
+    st_.ready.pop_back();
     a.at_cycles = at;
     a.user = user;
     // Keep the cursor monotone so a following open phase resumes from the
     // latest arrival, not from before this phase ran.
-    open_clock_ = std::max(open_clock_, at);
+    st_.open_clock = std::max(st_.open_clock, at);
   }
-  a.id = next_id_++;
-  ++phase_done_;
-  a.phase = static_cast<std::uint32_t>(phase_idx_);
+  a.id = st_.next_id++;
+  ++st_.phase_done;
+  a.phase = static_cast<std::uint32_t>(st_.phase_idx);
   a.cipher = pick_weighted(ph.cipher_mix).cipher;
   a.transaction_bytes = pick_weighted(ph.size_mix).bytes;
   a.session_seed = rng_.next_u64();
@@ -164,44 +174,23 @@ std::optional<SessionArrival> TrafficGenerator::next() {
 }
 
 TrafficGeneratorState TrafficGenerator::state() const {
-  TrafficGeneratorState st;
+  TrafficGeneratorState st = st_;
   st.rng = rng_.state();
-  st.next_id = next_id_;
-  st.interarrival_mean = interarrival_mean_;
-  st.open_clock = open_clock_;
-  st.phase_idx = phase_idx_;
-  st.phase_done = phase_done_;
-  st.phase_entered = phase_entered_;
-  // Drain a copy of the heap so the snapshot lists pending arrivals in
-  // ascending (time, user) order — a canonical form, so two snapshots of
-  // the same logical state compare equal byte for byte.
-  auto pending = ready_;
-  st.ready.reserve(pending.size());
-  while (!pending.empty()) {
-    st.ready.push_back(pending.top());
-    pending.pop();
-  }
+  std::sort(st.ready.begin(), st.ready.end());
   return st;
 }
 
 void TrafficGenerator::restore(const TrafficGeneratorState& state) {
-  rng_.set_state(state.rng);
-  next_id_ = state.next_id;
-  interarrival_mean_ = state.interarrival_mean;
-  open_clock_ = state.open_clock;
-  phase_idx_ = static_cast<std::size_t>(state.phase_idx);
-  phase_done_ = static_cast<std::size_t>(state.phase_done);
-  phase_entered_ = state.phase_entered;
-  ready_ = {};
-  for (const auto& pending : state.ready) ready_.push(pending);
-  if (!phase_entered_ && (next_id_ > 0 || !ready_.empty())) {
+  st_ = state;  // an ascending `ready` is already a std::greater min-heap
+  rng_.set_state(st_.rng);
+  if (!st_.phase_entered && (st_.next_id > 0 || !st_.ready.empty())) {
     // A flat scenario recorded before it ran as a one-phase program: that
     // generator never entered its phase (phase_done stayed 0) and drew the
     // closed-loop stagger at construction.  Both already happened, so the
     // phase is entered with every arrival so far counted in it.  A program
     // state is never like this — next() enters the phase before it draws.
-    phase_done_ = static_cast<std::size_t>(next_id_);
-    phase_entered_ = true;
+    st_.phase_done = st_.next_id;
+    st_.phase_entered = true;
   }
 }
 
@@ -209,11 +198,11 @@ void TrafficGenerator::on_outcome(const SessionArrival& arrival,
                                   double completion_cycles, bool dropped) {
   // Feedback only drives the arrival's own phase; once the program has
   // moved on, the user population it belonged to is gone.
-  if (arrival.phase != phase_idx_) return;
+  if (arrival.phase != st_.phase_idx) return;
   const TrafficPhase& ph = phases_[arrival.phase];
   if (ph.model != ArrivalModel::kClosedLoop) return;
   const double base = dropped ? arrival.at_cycles : completion_cycles;
-  ready_.emplace(base + exp_draw(ph.think_cycles), arrival.user);
+  push_ready(base + exp_draw(ph.think_cycles), arrival.user);
 }
 
 }  // namespace wsp::server

@@ -28,7 +28,7 @@
 
 #include <cstdint>
 #include <optional>
-#include <queue>
+#include <utility>
 #include <vector>
 
 #include "server/faults.h"
@@ -44,12 +44,26 @@ enum class ArrivalModel { kOpenLoop, kClosedLoop };
 struct CipherMix {
   ssl::Cipher cipher = ssl::Cipher::kRc4;
   std::uint32_t weight = 1;
+
+  /// kScenario wire order (server/field_codec.h); see
+  /// SessionEvent::for_each_field (engine.h) for the protocol.
+  template <class F, class... S>
+  static void for_each_field(F&& f, S&... s) {
+    f("cipher", s.cipher...);
+    f("weight", s.weight...);
+  }
 };
 
 /// One weighted entry of a phase's transaction-size mix.
 struct SizeMix {
   std::size_t bytes = 0;
   std::uint32_t weight = 1;
+
+  template <class F, class... S>
+  static void for_each_field(F&& f, S&... s) {
+    f("bytes", s.bytes...);
+    f("weight", s.weight...);
+  }
 };
 
 /// One phase of a traffic program: `sessions` arrivals under one parameter
@@ -72,6 +86,20 @@ struct TrafficPhase {
   /// Overrides the engine's FaultConfig for sessions arriving in this phase
   /// (rekey storms, adversarial floods); nullopt inherits the engine's.
   std::optional<FaultConfig> faults;
+
+  template <class F, class... S>
+  static void for_each_field(F&& f, S&... s) {
+    f("name", s.name...);
+    f("sessions", s.sessions...);
+    f("model", s.model...);
+    f("offered_load", s.offered_load...);
+    f("users", s.users...);
+    f("think_cycles", s.think_cycles...);
+    f("resume_fraction", s.resume_fraction...);
+    f("cipher_mix", s.cipher_mix...);
+    f("size_mix", s.size_mix...);
+    f("faults", s.faults...);
+  }
 };
 
 struct TrafficScenario {
@@ -118,12 +146,34 @@ struct TrafficScenario {
   std::size_t total_sessions() const;
 
   /// Rejects degenerate scenarios with std::invalid_argument: zero
-  /// sessions, empty cipher/size grids or mixes, non-finite or non-positive
+  /// sessions, empty cipher/size grids or mixes, zero transaction sizes
+  /// (in a program's ignored flat grid too), non-finite or non-positive
   /// offered_load, negative/non-finite think_cycles, zero users on a
   /// closed loop, resume fractions outside [0, 1], zero mix weights, bad
   /// fault overlays, zero record_bytes.  Engine::run calls this before
-  /// touching any state.
+  /// touching any state; the trace readers (server/record.h) call it on
+  /// every decoded scenario.
   void validate() const;
+
+  /// kScenario wire order: wsp-replay-v1's flat layout (the first
+  /// kV1Fields entries), then resume_sessions and phases, which records
+  /// that predate them lack (a flat scenario without resumption).
+  template <class F, class... S>
+  static void for_each_field(F&& f, S&... s) {
+    f("seed", s.seed...);
+    f("sessions", s.sessions...);
+    f("model", s.model...);
+    f("offered_load", s.offered_load...);
+    f("users", s.users...);
+    f("think_cycles", s.think_cycles...);
+    f("ciphers", s.ciphers...);
+    f("transaction_sizes", s.transaction_sizes...);
+    f("record_bytes", s.record_bytes...);
+    // --- trailing fields ---
+    f("resume_sessions", s.resume_sessions...);
+    f("phases", s.phases...);
+  }
+  static constexpr std::size_t kV1Fields = 9;
 };
 
 struct SessionArrival {
@@ -140,12 +190,13 @@ struct SessionArrival {
 };
 
 /// The generator's full mutable state — Rng words, id/phase cursors, the
-/// virtual-clock cursor and every pending closed-loop arrival.  Snapshotting
-/// it at a quiesce barrier and restoring into a freshly constructed
-/// generator (same scenario, same mean-service figures) resumes the arrival
-/// stream bit-exactly; the phase list and mean-service figures are fixed
-/// at construction and are NOT part of the state.  Serialized into
-/// kCheckpoint chunks by server/record.h (docs/recovery.md).
+/// virtual-clock cursor and every pending closed-loop arrival.  The
+/// generator runs on this struct itself; snapshotting it at a quiesce
+/// barrier and restoring into a freshly constructed generator (same
+/// scenario, same mean-service figures) resumes the arrival stream
+/// bit-exactly.  The phase list and mean-service figures are fixed at
+/// construction and are NOT part of the state.  Serialized into
+/// kCheckpoint chunks (server/checkpoint.h, docs/recovery.md).
 struct TrafficGeneratorState {
   Rng::State rng;
   std::uint64_t next_id = 0;
@@ -154,12 +205,26 @@ struct TrafficGeneratorState {
   std::uint64_t phase_idx = 0;
   std::uint64_t phase_done = 0;
   bool phase_entered = false;
-  /// Pending closed-loop arrivals as (ready time, user), ascending.  The
-  /// heap's pop order is a pure function of this multiset (ties break on the
-  /// user index), so rebuilding the heap from the sorted list is exact.
+  /// Pending closed-loop arrivals as (ready time, user): a std::greater
+  /// min-heap while the generator runs, ascending in a snapshot.  Pop order
+  /// is a pure function of the multiset (ties break on the user index), and
+  /// an ascending list is already a valid min-heap.
   std::vector<std::pair<double, unsigned>> ready;
 
   bool operator==(const TrafficGeneratorState&) const = default;
+
+  /// kCheckpoint wire order; see SessionEvent::for_each_field.
+  template <class F, class... S>
+  static void for_each_field(F&& f, S&... s) {
+    f("rng", s.rng...);
+    f("next_id", s.next_id...);
+    f("interarrival_mean", s.interarrival_mean...);
+    f("open_clock", s.open_clock...);
+    f("phase_idx", s.phase_idx...);
+    f("phase_done", s.phase_done...);
+    f("phase_entered", s.phase_entered...);
+    f("ready", s.ready...);
+  }
 };
 
 class TrafficGenerator {
@@ -192,12 +257,15 @@ class TrafficGenerator {
   void on_outcome(const SessionArrival& arrival, double completion_cycles,
                   bool dropped);
 
-  /// Snapshot of everything next()/on_outcome() mutate.  Taken BEFORE a
-  /// next() call, a later restore() re-draws that same arrival first.
+  /// Snapshot of everything next()/on_outcome() mutate, `ready` ascending
+  /// (a canonical form: two snapshots of the same logical state compare
+  /// equal byte for byte).  Taken BEFORE a next() call, a later restore()
+  /// re-draws that same arrival first.
   TrafficGeneratorState state() const;
 
   /// Restores a snapshot taken from a generator built over the same
-  /// scenario and mean-service figures; the subsequent draw sequence is
+  /// scenario and mean-service figures (`ready` ascending, as state() and
+  /// validate_checkpoint guarantee); the subsequent draw sequence is
   /// bit-identical to the original generator's.  Also reads the state that
   /// flat scenarios recorded before they ran as one-phase programs.
   void restore(const TrafficGeneratorState& state);
@@ -208,25 +276,14 @@ class TrafficGenerator {
   template <class Mix>
   const Mix& pick_weighted(const std::vector<Mix>& mix);
 
+  void push_ready(double at, unsigned user);
+
   std::vector<TrafficPhase> phases_;
-  Rng rng_;
-  std::uint64_t next_id_ = 0;
   std::size_t total_sessions_ = 0;
-  double interarrival_mean_ = 0.0;
-  double open_clock_ = 0.0;
-
-  // Current phase, arrivals emitted within it, and what sets the rates.
-  std::size_t phase_idx_ = 0;
-  std::size_t phase_done_ = 0;
-  bool phase_entered_ = false;
-  std::vector<double> phase_mean_service_;
+  std::vector<double> phase_mean_service_;  ///< what sets the rates
   double service_units_ = 1.0;
-
-  // Closed loop: min-heap of (ready time, user), deterministic tie-break
-  // on user index.
-  using Pending = std::pair<double, unsigned>;
-  std::priority_queue<Pending, std::vector<Pending>, std::greater<Pending>>
-      ready_;
+  Rng rng_;  ///< draws; state() and restore() carry its words as st_.rng
+  TrafficGeneratorState st_;  ///< everything else next()/on_outcome() mutate
 };
 
 }  // namespace wsp::server

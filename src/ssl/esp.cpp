@@ -34,24 +34,24 @@ std::vector<std::uint8_t> seal(Sa& sa, const std::vector<std::uint8_t>& payload,
                                Rng& rng) {
   if (sa.enc_key.size() != 24) throw std::invalid_argument("esp: need a 24-byte 3DES key");
   // Pad to the 8-byte block with a pad-length trailer byte.
-  std::vector<std::uint8_t> plain = payload;
   const std::uint8_t pad =
-      static_cast<std::uint8_t>(8 - ((plain.size() + 1) % 8)) % 8;
-  plain.insert(plain.end(), pad, 0);
-  plain.push_back(pad);
-
-  const std::uint64_t iv = rng.next_u64();
-  des::encrypt_cbc_3des(plain.data(), plain.data(), plain.size(),
-                        key_schedule(sa), iv);  // in place: now ciphertext
+      static_cast<std::uint8_t>(8 - ((payload.size() + 1) % 8)) % 8;
+  const std::size_t body = payload.size() + pad + 1;
 
   std::vector<std::uint8_t> packet;
+  packet.reserve(16 + body + kIcvLen);
   put_u32(packet, sa.spi);
   put_u32(packet, ++sa.seq);
-  packet.resize(packet.size() + 8);
+  const std::uint64_t iv = rng.next_u64();
+  packet.resize(16);
   des::store_be64(iv, packet.data() + 8);
-  packet.insert(packet.end(), plain.begin(), plain.end());
+  packet.insert(packet.end(), payload.begin(), payload.end());
+  packet.insert(packet.end(), pad, 0);
+  packet.push_back(pad);
+  des::encrypt_cbc_3des(packet.data() + 16, packet.data() + 16, body,
+                        key_schedule(sa), iv);  // in place: now ciphertext
 
-  const auto mac = hmac_sha1(sa.auth_key, packet);
+  const auto mac = HmacSha1(sa.auth_key).mac(packet.data(), packet.size());
   packet.insert(packet.end(), mac.begin(), mac.begin() + kIcvLen);
   return packet;
 }
@@ -62,19 +62,16 @@ std::vector<std::uint8_t> open(const Sa& sa,
   if (packet.size() < 16 + 8 + kIcvLen || (packet.size() - 16 - kIcvLen) % 8 != 0) {
     throw std::runtime_error("esp: malformed packet");
   }
-  const std::vector<std::uint8_t> body(packet.begin(),
-                                       packet.end() - static_cast<std::ptrdiff_t>(kIcvLen));
-  const std::vector<std::uint8_t> icv(packet.end() - static_cast<std::ptrdiff_t>(kIcvLen),
-                                      packet.end());
-  const auto mac = hmac_sha1(sa.auth_key, body);
-  if (!ct::equal(icv.data(), mac.data(), kIcvLen)) {
+  const std::size_t authed = packet.size() - kIcvLen;  // header || ciphertext
+  const auto mac = HmacSha1(sa.auth_key).mac(packet.data(), authed);
+  if (!ct::equal(packet.data() + authed, mac.data(), kIcvLen)) {
     throw std::runtime_error("esp: authentication failed");
   }
   if (get_u32(packet.data()) != sa.spi) throw std::runtime_error("esp: wrong SPI");
   if (seq_out) *seq_out = get_u32(packet.data() + 4);
 
-  std::vector<std::uint8_t> plain(body.size() - 16);
-  des::decrypt_cbc_3des(body.data() + 16, plain.data(), plain.size(),
+  std::vector<std::uint8_t> plain(authed - 16);
+  des::decrypt_cbc_3des(packet.data() + 16, plain.data(), plain.size(),
                         key_schedule(sa), des::load_be64(packet.data() + 8));
   if (plain.empty()) throw std::runtime_error("esp: empty payload");
   const std::uint8_t pad = plain.back();

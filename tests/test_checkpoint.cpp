@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "golden_chaos_trace.h"
+#include "golden_checkpoint_trace.h"
 #include "legacy_flat_closed_trace.h"
 #include "legacy_lanes8_trace.h"
 #include "server/checkpoint.h"
@@ -102,6 +103,8 @@ TEST(CheckpointGenerator, ClosedLoopPendingArrivalsSurviveSnapshot) {
   }
   const auto snap = gen.state();
   EXPECT_FALSE(snap.ready.empty());
+  // Canonical form: ascending, whatever order the live heap keeps.
+  EXPECT_TRUE(std::is_sorted(snap.ready.begin(), snap.ready.end()));
 
   server::TrafficGenerator fresh(scenario, 5.0e6, 4);
   fresh.restore(snap);
@@ -462,6 +465,126 @@ TEST(CheckpointCrafted, PendingArrivalUserIsRangeChecked) {
   auto changed = cp;
   changed.generator.ready.front().second ^= 1;
   expect_u32_checked(payload, field_offset(cp, changed), "pending user");
+}
+
+/// `cp` with `mutate` applied, re-encoded (the encoder checks nothing) and
+/// decoded again: the decode must fail as kMalformed.
+template <class Mutate>
+void expect_crafted_malformed(server::EngineCheckpoint cp, Mutate mutate,
+                              const char* what) {
+  mutate(cp);
+  std::vector<std::uint8_t> payload;
+  server::encode_checkpoint(payload, cp);
+  try {
+    (void)server::decode_checkpoint(payload);
+    FAIL() << what << " accepted";
+  } catch (const ReplayError& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kMalformed) << what << ": " << e.what();
+  }
+}
+
+/// The golden fixture's first checkpoint: closed-loop phase entered,
+/// pending arrivals, finalized entries on both shards.
+server::EngineCheckpoint golden_checkpoint() {
+  return server::decode_checkpoint(
+      checkpoint_payloads(testdata::kGoldenCheckpointTrace).front());
+}
+
+TEST(CheckpointCrafted, NonFiniteDoublesAreMalformed) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto cp = golden_checkpoint();
+  ASSERT_FALSE(cp.latencies.empty());
+  expect_crafted_malformed(
+      cp, [&](auto& c) { c.shards[1].busy_until = nan; }, "NaN busy_until");
+  expect_crafted_malformed(
+      cp, [&](auto& c) { c.latencies.back() = nan; }, "NaN latency");
+  expect_crafted_malformed(
+      cp, [&](auto& c) { c.generator.open_clock = nan; }, "NaN open_clock");
+  expect_crafted_malformed(
+      cp, [&](auto& c) { c.virtual_now = inf; }, "infinite virtual_now");
+}
+
+TEST(CheckpointCrafted, AllZeroRngStateIsMalformed) {
+  expect_crafted_malformed(
+      golden_checkpoint(), [](auto& c) { c.generator.rng = {}; },
+      "all-zero rng state");
+}
+
+TEST(CheckpointCrafted, DescendingPendingArrivalsAreMalformed) {
+  const auto cp = golden_checkpoint();
+  ASSERT_GE(cp.generator.ready.size(), 2u);
+  ASSERT_LT(cp.generator.ready[0].first, cp.generator.ready[1].first);
+  expect_crafted_malformed(
+      cp,
+      [](auto& c) { std::swap(c.generator.ready[0], c.generator.ready[1]); },
+      "descending ready");
+}
+
+TEST(CheckpointCrafted, MorePendingCompletionsThanAdmissionsIsMalformed) {
+  expect_crafted_malformed(
+      golden_checkpoint(),
+      [](auto& c) {
+        auto& sh = c.shards[0];
+        sh.completions.assign(sh.admitted + 1, sh.busy_until);
+      },
+      "pending completions past admissions");
+}
+
+TEST(CheckpointCrafted, ShardCountOutsideOneTo64IsMalformed) {
+  const auto cp = golden_checkpoint();
+  expect_crafted_malformed(
+      cp, [](auto& c) { c.shards.clear(); }, "0 shards");
+  expect_crafted_malformed(
+      cp, [](auto& c) { c.shards.resize(65); }, "65 shards");
+}
+
+// --- golden checkpoint fixture ----------------------------------------------
+
+TEST(CheckpointGolden, FixtureHoldsAnEnteredClosedPhaseAndPendingArrivals) {
+  const auto scan =
+      server::scan_trace_for_resume(testdata::kGoldenCheckpointTrace);
+  EXPECT_TRUE(scan.complete);
+  ASSERT_EQ(scan.checkpoints.size(), testdata::kGoldenCheckpointOffsets.size());
+  ASSERT_TRUE(scan.record.scenario.phases.at(0).faults.has_value());
+  for (const auto& cp : scan.checkpoints) {
+    EXPECT_TRUE(cp.generator.phase_entered) << "checkpoint " << cp.seq;
+    EXPECT_FALSE(cp.generator.ready.empty()) << "checkpoint " << cp.seq;
+    EXPECT_FALSE(cp.entries.empty()) << "checkpoint " << cp.seq;
+    for (const auto& e : cp.entries) EXPECT_FALSE(e.parked);
+  }
+  EXPECT_EQ(scan.checkpoints.front().generator.phase_idx, 0u);
+}
+
+TEST(CheckpointGolden, PayloadsReencodeByteIdentically) {
+  const auto payloads = checkpoint_payloads(testdata::kGoldenCheckpointTrace);
+  ASSERT_EQ(payloads.size(), testdata::kGoldenCheckpointOffsets.size());
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    std::vector<std::uint8_t> again;
+    server::encode_checkpoint(again, server::decode_checkpoint(payloads[i]));
+    EXPECT_EQ(again, payloads[i]) << "checkpoint " << i;
+  }
+}
+
+TEST(CheckpointGolden, ResumeFromEveryCheckpointMatchesAFreshRun) {
+  const auto fresh = server::Engine(testdata::golden_checkpoint_config())
+                         .run(testdata::golden_checkpoint_scenario());
+  const auto scan =
+      server::scan_trace_for_resume(testdata::kGoldenCheckpointTrace);
+  ASSERT_FALSE(scan.checkpoints.empty());
+  EXPECT_TRUE(server::compare_reports(scan.record.report, fresh).empty());
+  for (std::size_t k = 1; k <= scan.checkpoints.size(); ++k) {
+    server::ResumeScan prefix = scan;
+    prefix.checkpoints.resize(k);
+    for (unsigned threads : {1u, 4u}) {
+      const auto result = server::resume_run(prefix, threads);
+      EXPECT_TRUE(result.ok()) << "checkpoint " << k - 1;
+      const auto mismatches = server::compare_reports(fresh, result.report);
+      EXPECT_TRUE(mismatches.empty())
+          << "checkpoint " << k - 1 << ", threads " << threads << ": "
+          << mismatches.front();
+    }
+  }
 }
 
 // --- crash + restore --------------------------------------------------------

@@ -7,8 +7,11 @@
 // accepts corrupted bytes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "crypto/crc32.h"
 #include "crypto/ct.h"
+#include "crypto/hmac.h"
 #include "crypto/sha1.h"
 #include "ssl/esp.h"
 #include "ssl/ssl.h"
@@ -125,6 +128,18 @@ TEST_F(EspTest, SealOpenRoundTripVariousSizes) {
     std::uint32_t seq = 0;
     EXPECT_EQ(esp::open(receiver, packet, &seq), payload) << "len=" << len;
     EXPECT_EQ(seq, sa_.seq);
+  }
+}
+
+// The ICV is HMAC-SHA1-96 over header || ciphertext (RFC 2406), however
+// seal and open compute it.
+TEST_F(EspTest, IcvIsTruncatedHmacSha1OfHeaderAndCiphertext) {
+  for (std::size_t len : {0u, 7u, 64u, 1400u}) {
+    const auto packet = esp::seal(sa_, rng_.bytes(len), rng_);
+    const std::vector<std::uint8_t> authed(packet.begin(), packet.end() - 12);
+    const auto tag = hmac_sha1(sa_.auth_key, authed);
+    EXPECT_TRUE(std::equal(packet.end() - 12, packet.end(), tag.begin()))
+        << "len=" << len;
   }
 }
 

@@ -614,14 +614,23 @@ std::size_t offset_after(const std::vector<std::uint8_t>& payload,
   return c.offset();
 }
 
+/// `trace` with the `chunk` varint at `at` set to `value`.
+std::vector<std::uint8_t> crafted(const std::vector<std::uint8_t>& trace,
+                                  RecordChunk chunk, std::size_t at,
+                                  std::uint64_t value) {
+  return testdata::with_chunk_payload(
+      trace, chunk,
+      testdata::replace_varint(testdata::chunk_payload(trace, chunk), at,
+                               value));
+}
+
 /// Re-frames the golden trace with the `chunk` varint at `at` set to
 /// `value`; decoding it must be kMalformed at exactly that offset.
 void expect_malformed(RecordChunk chunk, std::size_t at, std::uint64_t value,
                       const char* what) {
-  const auto payload = testdata::chunk_payload(kGoldenChaosTrace, chunk);
-  ASSERT_LT(at, payload.size()) << what;
-  const auto bytes = testdata::with_chunk_payload(
-      kGoldenChaosTrace, chunk, testdata::replace_varint(payload, at, value));
+  ASSERT_LT(at, testdata::chunk_payload(kGoldenChaosTrace, chunk).size())
+      << what;
+  const auto bytes = crafted(kGoldenChaosTrace, chunk, at, value);
   try {
     (void)server::decode_run_record(bytes);
     FAIL() << what << " = " << value << " accepted";
@@ -739,6 +748,80 @@ TEST(ReplayCrafted, ScenarioSizeMixWeightIsRangeChecked) {
                    offset_after(scn, layout_to_phase_users() + "vddv" + mix +
                                          "vv"),
                    k2to32 + 1, "size mix weight");
+}
+
+// A zero transaction size is invalid even in a program's ignored flat grid
+// and in a phase's size mix.
+TEST(ReplayCrafted, ScenarioZeroTransactionSizesAreMalformed) {
+  const auto sc = server::decode_run_record(kGoldenChaosTrace).scenario;
+  const auto scn =
+      testdata::chunk_payload(kGoldenChaosTrace, RecordChunk::kScenario);
+  const std::string flat_sizes =
+      "vvvdvd" + std::string(1 + sc.ciphers.size(), 'v') + "v";
+  const std::string mix(2 * sc.phases[0].cipher_mix.size(), 'v');
+  const std::size_t ats[] = {
+      offset_after(scn, flat_sizes),  // the first size, zigzag delta 0
+      offset_after(scn, layout_to_phase_users() + "vddv" + mix + "v"),
+  };
+  for (const std::size_t at : ats) {
+    try {
+      (void)server::decode_run_record(
+          crafted(kGoldenChaosTrace, RecordChunk::kScenario, at, 0));
+      FAIL() << "zero size at " << at << " accepted";
+    } catch (const ReplayError& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kMalformed) << e.what();
+    }
+  }
+}
+
+/// Both trace readers must reject `bytes` as kMalformed: an input the
+/// engine would refuse is damage, not a std::invalid_argument at replay.
+void expect_inputs_malformed(const std::vector<std::uint8_t>& bytes,
+                             const char* what) {
+  try {
+    (void)server::decode_run_record(bytes);
+    FAIL() << what << ": decode accepted";
+  } catch (const ReplayError& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kMalformed) << what << ": " << e.what();
+  }
+  try {
+    (void)server::scan_trace_for_resume(bytes);
+    FAIL() << what << ": scan accepted";
+  } catch (const ReplayError& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kMalformed) << what << ": " << e.what();
+  }
+}
+
+TEST(ReplayCrafted, FlatScenarioWithZeroSessionsIsMalformed) {
+  const auto flat = server::encode_run_record(small_recorded_run());
+  ASSERT_NO_THROW((void)server::decode_run_record(flat));
+  // seed, then sessions.
+  const auto scn = testdata::chunk_payload(flat, RecordChunk::kScenario);
+  expect_inputs_malformed(
+      crafted(flat, RecordChunk::kScenario, offset_after(scn, "v"), 0),
+      "sessions 0");
+}
+
+TEST(ReplayCrafted, ConfigTheEngineRejectsIsMalformed) {
+  // shards, then queue_capacity, record_batch, rsa_bits.
+  const auto config =
+      testdata::chunk_payload(kGoldenChaosTrace, RecordChunk::kConfig);
+  expect_inputs_malformed(
+      crafted(kGoldenChaosTrace, RecordChunk::kConfig,
+              offset_after(config, "v"), 0),
+      "queue_capacity 0");
+  expect_inputs_malformed(
+      crafted(kGoldenChaosTrace, RecordChunk::kConfig,
+              offset_after(config, "vvv"), 256),
+      "rsa_bits 256");
+}
+
+TEST(ReplayCrafted, RecordedShardCountOutsideOneTo64IsMalformed) {
+  for (const std::uint64_t shards : {0, 65}) {
+    expect_inputs_malformed(
+        crafted(kGoldenChaosTrace, RecordChunk::kConfig, 0, shards),
+        shards == 0 ? "shards 0" : "shards 65");
+  }
 }
 
 TEST(ReplayCrc32Filter, MatchesOneShotCrc) {

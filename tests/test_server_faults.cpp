@@ -132,6 +132,9 @@ TEST(EngineConfigValidation, RejectsDegenerateConfigs) {
   EXPECT_GE(server::Engine(cfg).config().shards, 1u);
   EXPECT_LE(server::Engine(cfg).config().shards, 64u);
   cfg = server::EngineConfig{};
+  cfg.shards = 65;  // past what checkpoints and traces carry
+  expect_invalid(cfg);
+  cfg = server::EngineConfig{};
   cfg.queue_capacity = 0;
   expect_invalid(cfg);
   cfg = server::EngineConfig{};

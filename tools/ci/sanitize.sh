@@ -51,11 +51,15 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}"
   # the 32-bit rotates would trip ASan or UBSan.
   ctest -R 'DesDiff|AesDiff|KatDes|KatAes|Sha1Diff|Md5Diff|HmacDiff' \
         --output-on-failure
-  # The legacy trace fixtures (also in tier1): untrusted bytes through the
-  # checkpoint decoder, parked entries (lanes 8) re-admitted and the former
-  # flat generator state (flat closed loop) restored on resume, and crafted
-  # checkpoints whose u32 fields overflow.
-  ctest -R 'CheckpointLegacy|CheckpointCrafted' --output-on-failure
+  # The legacy and golden checkpoint fixtures (also in tier1): untrusted
+  # bytes through the checkpoint decoder, parked entries (lanes 8)
+  # re-admitted, the former flat generator state (flat closed loop) and an
+  # entered closed-loop phase with pending arrivals (golden) restored on
+  # resume, and crafted checkpoints that overflow a u32 field or break a
+  # validate_checkpoint rule (NaN times, dead Rng, descending arrivals,
+  # shard counts).
+  ctest -R 'CheckpointLegacy|CheckpointCrafted|CheckpointGolden' \
+        --output-on-failure
   # The engine's admission stage driven alone (no pool, no sessions)
   # against the virtual timeline of full engine runs (also in tier1).
   ctest -R 'AdmissionStage' --output-on-failure
