@@ -82,11 +82,22 @@ TEST_P(MpnKernelTest, CarryChainsAcrossChunks) {
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(got[i], 0u) << i;
 }
 
+// gtest lists a parameter by its raw bytes, the label pointer included, and
+// ctest takes that listing into each test's name. The labels therefore sit at
+// fixed offsets in one 256-byte-aligned block: the pointer's low byte, and so
+// the listed names, stay put however the binary's read-only data moves.
+struct alignas(256) TieLabels {
+  char lead[0x38];
+  char base[5], add2[5], add4_mac1[10], add8_mac2[10], add16_mac4[11];
+};
+constexpr TieLabels kTieLabels{{}, "base", "add2", "add4_mac1", "add8_mac2", "add16_mac4"};
+
 INSTANTIATE_TEST_SUITE_P(
     Widths, MpnKernelTest,
-    ::testing::Values(TieParam{{0, 0}, "base"}, TieParam{{2, 0}, "add2"},
-                      TieParam{{4, 1}, "add4_mac1"}, TieParam{{8, 2}, "add8_mac2"},
-                      TieParam{{16, 4}, "add16_mac4"}),
+    ::testing::Values(TieParam{{0, 0}, kTieLabels.base}, TieParam{{2, 0}, kTieLabels.add2},
+                      TieParam{{4, 1}, kTieLabels.add4_mac1},
+                      TieParam{{8, 2}, kTieLabels.add8_mac2},
+                      TieParam{{16, 4}, kTieLabels.add16_mac4}),
     [](const ::testing::TestParamInfo<TieParam>& info) { return info.param.label; });
 
 class MpnBaseKernelTest : public ::testing::Test {
